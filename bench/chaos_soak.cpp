@@ -292,7 +292,7 @@ std::map<std::string, std::size_t> incumbentMap(fleet::Replica& replica) {
        replica.service().exportRefinedWins(/*refinedOnly=*/false)) {
     std::string id = win.key.machine + "|" + win.key.program;
     for (const double v : win.key.signature) {
-      id += "|" + std::to_string(v);
+      id.append("|").append(std::to_string(v));
     }
     map[id] = win.incumbentLabel;
   }

@@ -7,14 +7,14 @@
 #include <cstdio>
 
 #include "common/log.hpp"
-#include "features/static_features.hpp"
+#include "features/compiled_features.hpp"
 #include "frontend/parser.hpp"
 #include "harness_util.hpp"
 #include "sim/machine.hpp"
 
 namespace {
 
-tp::features::KernelFeatures microKernel(const char* src) {
+tp::features::CompiledFeatures microKernel(const char* src) {
   const auto kernel = tp::frontend::parseSingleKernel(src);
   return tp::features::extractFeatures(*kernel);
 }
@@ -60,19 +60,25 @@ __kernel void m(__global const float* a, __global float* b, int n) {
   const std::map<std::string, double> bind = {{"K", 1024.0}};
   const double items = 1 << 22;
 
+  const auto n = static_cast<std::size_t>(items);
+  const auto flopCounts = flops.counts(bind, n);
+  const auto specialCounts = specials.counts(bind, n);
+  const auto branchCounts = branches.counts(bind, n);
+  const auto streamCounts = streaming.counts({}, n);
+
   for (const auto& machine : sim::evaluationMachines()) {
     std::printf("--- %s ---\n", machine.name.c_str());
     tp::bench::TablePrinter table(
         {"device", "GFLOP/s", "Gspecial/s", "Gbranch/s", "stream GB/s",
          "PCIe GB/s", "launch us", "util@4K", "util@1M"});
     for (const auto& d : machine.devices) {
-      const double tF = d.kernelTime(flops, bind, items, 64.0);
+      const double tF = d.kernelTime(flopCounts, items, 64.0);
       const double opsF = 2.0 * 1024.0 * items;  // mul+add per iteration
-      const double tS = d.kernelTime(specials, bind, items, 64.0);
+      const double tS = d.kernelTime(specialCounts, items, 64.0);
       const double opsS = 1024.0 * items;
-      const double tB = d.kernelTime(branches, bind, items, 64.0);
+      const double tB = d.kernelTime(branchCounts, items, 64.0);
       const double opsB = 1024.0 * items;
-      const double tM = d.kernelTime(streaming, {}, items, 64.0);
+      const double tM = d.kernelTime(streamCounts, items, 64.0);
       const double bytesM = 8.0 * items;
       table.addRow({d.name, tp::bench::fmt(opsF / tF / 1e9, 1),
                     tp::bench::fmt(opsS / tS / 1e9, 1),

@@ -116,7 +116,8 @@ void JsonObject::setInt(const std::string& key, std::uint64_t value) {
 }
 
 void JsonObject::set(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + jsonEscape(value) + "\"");
+  fields_.emplace_back(key,
+                       std::string("\"").append(jsonEscape(value)).append("\""));
 }
 
 void JsonObject::set(const std::string& key, const char* value) {

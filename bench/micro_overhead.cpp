@@ -14,6 +14,7 @@
 #include "runtime/evaluation.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/strategy.hpp"
+#include "serve/cache.hpp"
 #include "sim/machine.hpp"
 #include "suite/benchmark.hpp"
 
@@ -91,6 +92,26 @@ void BM_SimulatedExecution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedExecution);
+
+void BM_LaunchFingerprint(benchmark::State& state) {
+  auto& f = fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::launchFingerprint(1, f.instance.task, /*roundDigits=*/6));
+  }
+}
+BENCHMARK(BM_LaunchFingerprint);
+
+// What every request that carries a Task by value pays to build and tear
+// it down (perfbench's request batches, the serving queue path).
+void BM_TaskCopy(benchmark::State& state) {
+  auto& f = fixture();
+  for (auto _ : state) {
+    runtime::Task copy = f.instance.task;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_TaskCopy);
 
 void BM_OracleSearch66(benchmark::State& state) {
   auto& f = fixture();

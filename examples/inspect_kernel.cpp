@@ -98,16 +98,15 @@ int main(int argc, char** argv) {
       bindings[p.name] = static_cast<double>(globalSize);
     }
   }
-  bindings[features::kGlobalSizeParam] = static_cast<double>(globalSize);
-  const double bytes =
-      (f.globalLoads + f.globalStores).eval(bindings) * 4.0 *
-      static_cast<double>(globalSize);
+  const auto perItem =
+      compiled.compiledFeatures().counts(bindings, globalSize);
+  const double bytes = perItem.globalBytes * static_cast<double>(globalSize);
 
   for (const auto& machine : sim::evaluationMachines()) {
     std::printf("  %s:\n", machine.name.c_str());
     for (const auto& d : machine.devices) {
-      const double kernelTime = d.kernelTime(
-          f, bindings, static_cast<double>(globalSize), 64.0);
+      const double kernelTime =
+          d.kernelTime(perItem, static_cast<double>(globalSize), 64.0);
       const double transfer = d.transferTime(bytes);
       std::printf("    %-30s kernel %9.3f ms + transfers %8.3f ms\n",
                   d.name.c_str(), kernelTime * 1e3, transfer * 1e3);

@@ -181,4 +181,61 @@ std::string WorkExpr::toString() const {
   return os.str();
 }
 
+SlotProgram::SlotProgram(const std::vector<WorkExpr>& exprs) {
+  for (const auto& e : exprs) {
+    for (const auto& name : e.parameters()) slotNames_.push_back(name);
+  }
+  std::sort(slotNames_.begin(), slotNames_.end());
+  slotNames_.erase(std::unique(slotNames_.begin(), slotNames_.end()),
+                   slotNames_.end());
+
+  for (const auto& e : exprs) {
+    for (const auto& [m, c] : e.terms()) {
+      Term t{c, static_cast<std::uint32_t>(vars_.size()), 0};
+      for (const auto& var : m) {
+        vars_.push_back(static_cast<std::uint32_t>(slotOf(var)));
+      }
+      t.varEnd = static_cast<std::uint32_t>(vars_.size());
+      terms_.push_back(t);
+    }
+    exprBegin_.push_back(static_cast<std::uint32_t>(terms_.size()));
+  }
+}
+
+std::size_t SlotProgram::slotOf(std::string_view name) const {
+  const auto it = std::lower_bound(slotNames_.begin(), slotNames_.end(), name);
+  if (it == slotNames_.end() || *it != name) return npos;
+  return static_cast<std::size_t>(it - slotNames_.begin());
+}
+
+void SlotProgram::bind(const std::map<std::string, double>& bindings,
+                       std::span<double> slots, double defaultValue) const {
+  TP_ASSERT(slots.size() == slotNames_.size());
+  // Both name lists are sorted: one merged pass, no per-slot lookup.
+  auto it = bindings.begin();
+  for (std::size_t s = 0; s < slotNames_.size(); ++s) {
+    while (it != bindings.end() && it->first < slotNames_[s]) ++it;
+    slots[s] = (it != bindings.end() && it->first == slotNames_[s])
+                   ? it->second
+                   : defaultValue;
+  }
+}
+
+double SlotProgram::eval(std::size_t expr,
+                         std::span<const double> slots) const {
+  TP_ASSERT(expr < numExprs());
+  // Same accumulation as WorkExpr::eval(): per term, coefficient times
+  // each variable in monomial order, then summed in term order.
+  double total = 0.0;
+  for (std::uint32_t t = exprBegin_[expr]; t < exprBegin_[expr + 1]; ++t) {
+    const Term& term = terms_[t];
+    double value = term.coeff;
+    for (std::uint32_t v = term.varBegin; v < term.varEnd; ++v) {
+      value *= slots[vars_[v]];
+    }
+    total += value;
+  }
+  return total;
+}
+
 }  // namespace tp::ir

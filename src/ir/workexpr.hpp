@@ -11,8 +11,12 @@
 // dependent *runtime feature* — exactly the static/dynamic feature split the
 // paper describes.
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tp::ir {
@@ -67,6 +71,9 @@ public:
   /// Human-readable form, e.g. "2*K + 3" (deterministic term order).
   std::string toString() const;
 
+  /// Canonical terms, in evaluation order.
+  const std::map<Monomial, double>& terms() const noexcept { return terms_; }
+
 private:
   void add(const Monomial& m, double coeff);
 
@@ -76,5 +83,45 @@ private:
 };
 
 inline WorkExpr operator*(double scale, const WorkExpr& e) { return e * scale; }
+
+/// A fixed list of WorkExprs compiled against one shared parameter-slot
+/// table, for evaluating the same polynomials under many bindings without
+/// string lookups or allocation. Parameters become indices into the slot
+/// table (names in sorted order); terms keep WorkExpr's canonical order
+/// and multiply their variables in monomial order, so eval() performs the
+/// exact floating-point operations of WorkExpr::eval() and returns
+/// bit-identical results under the same bindings.
+class SlotProgram {
+public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  explicit SlotProgram(const std::vector<WorkExpr>& exprs);
+
+  std::size_t numExprs() const noexcept { return exprBegin_.size() - 1; }
+  std::size_t numSlots() const noexcept { return slotNames_.size(); }
+  /// Slot of parameter `name` (slots follow sorted name order), or npos
+  /// if no expression mentions it.
+  std::size_t slotOf(std::string_view name) const;
+
+  /// Fill `slots` (numSlots() values) from `bindings`; parameters without
+  /// a binding get `defaultValue`, as in WorkExpr::eval().
+  void bind(const std::map<std::string, double>& bindings,
+            std::span<double> slots, double defaultValue = 16.0) const;
+
+  /// Value of expression `expr` under bound `slots`.
+  double eval(std::size_t expr, std::span<const double> slots) const;
+
+private:
+  struct Term {
+    double coeff;
+    std::uint32_t varBegin;  ///< [varBegin, varEnd) into vars_
+    std::uint32_t varEnd;
+  };
+
+  std::vector<std::string> slotNames_;  ///< sorted
+  std::vector<std::uint32_t> exprBegin_{0};  ///< term range of each expr
+  std::vector<Term> terms_;
+  std::vector<std::uint32_t> vars_;  ///< slot indices, monomial order
+};
 
 }  // namespace tp::ir

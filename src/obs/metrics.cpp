@@ -280,7 +280,11 @@ std::string Registry::exportJson(bool includeRecentLog) const {
   bool firstHistogram = true;
   bool firstSummary = true;
   for (const auto& [name, entry] : entries_) {
-    const std::string key = "\"" + escapeJson(name) + "\":";
+    // Appended piecewise: GCC 12's -Wrestrict misfires at -O3 on the
+    // equivalent `"\"" + escapeJson(name) + "\":"` temporary chain.
+    std::string key = "\"";
+    key += escapeJson(name);
+    key += "\":";
     if (entry.ownedCounter != nullptr || entry.counterFn) {
       if (!firstCounter) counters << ",";
       firstCounter = false;

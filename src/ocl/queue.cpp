@@ -4,8 +4,7 @@
 
 namespace tp::vcl {
 
-Event CommandQueue::enqueueKernel(const features::KernelFeatures& features,
-                                  const std::map<std::string, double>& bindings,
+Event CommandQueue::enqueueKernel(const features::WorkCounts& perItem,
                                   std::size_t groupBegin, std::size_t groupEnd,
                                   const WorkGroupCtx& ctxTemplate,
                                   const NativeKernel& native,
@@ -30,7 +29,7 @@ Event CommandQueue::enqueueKernel(const features::KernelFeatures& features,
   }
 
   const double seconds =
-      model_.kernelTime(features, bindings, items,
+      model_.kernelTime(perItem, items,
                         static_cast<double>(ctxTemplate.localSize), dramBytes);
   return advance(items > 0.0 ? seconds : 0.0);
 }

@@ -14,11 +14,9 @@
 // still the analytic model's).
 
 #include <cstddef>
-#include <map>
-#include <string>
 
 #include "common/thread_pool.hpp"
-#include "features/static_features.hpp"
+#include "features/compiled_features.hpp"
 #include "ocl/kernel.hpp"
 #include "sim/device_model.hpp"
 
@@ -53,12 +51,12 @@ public:
   Event enqueueRead(double bytes) { return advance(model_.transferTime(bytes)); }
 
   /// Execute work-groups [groupBegin, groupEnd) of a kernel launch.
-  /// `features`/`bindings` drive the analytic cost; `native`/`args` supply
-  /// semantics in Compute mode. `ctxTemplate` carries the original NDRange
-  /// geometry. `dramBytes` is the chunk's unique global-memory footprint
-  /// (see sim::DeviceModel::kernelTime); negative = no-reuse upper bound.
-  Event enqueueKernel(const features::KernelFeatures& features,
-                      const std::map<std::string, double>& bindings,
+  /// `perItem` (the launch's bound per-work-item counts) drives the
+  /// analytic cost; `native`/`args` supply semantics in Compute mode.
+  /// `ctxTemplate` carries the original NDRange geometry. `dramBytes` is
+  /// the chunk's unique global-memory footprint (see
+  /// sim::DeviceModel::kernelTime); negative = no-reuse upper bound.
+  Event enqueueKernel(const features::WorkCounts& perItem,
                       std::size_t groupBegin, std::size_t groupEnd,
                       const WorkGroupCtx& ctxTemplate,
                       const NativeKernel& native, const LaunchArgs& args,

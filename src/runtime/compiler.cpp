@@ -44,7 +44,7 @@ TaskBuilder::TaskBuilder(const CompiledKernel& compiled,
     : compiled_(compiled) {
   task_.programName = std::move(programName);
   task_.kernelName = compiled_.kernel().name();
-  task_.features = compiled_.features();
+  task_.features = compiled_.compiledFeatures();
 }
 
 TaskBuilder& TaskBuilder::global(std::size_t items) {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "features/access_analysis.hpp"
+#include "features/compiled_features.hpp"
 #include "features/static_features.hpp"
 #include "ir/node.hpp"
 #include "runtime/task.hpp"
@@ -26,7 +27,14 @@ public:
 
   const std::string& source() const { return state_->source; }
   const ir::KernelDecl& kernel() const { return *state_->kernel; }
-  const features::KernelFeatures& features() const { return state_->features; }
+  const features::KernelFeatures& features() const {
+    return state_->features.get();
+  }
+  /// The features with their cost plan, shared by every Task built from
+  /// this kernel.
+  const features::CompiledFeatures& compiledFeatures() const {
+    return state_->features;
+  }
   const std::vector<features::BufferAccess>& accesses() const {
     return state_->accesses;
   }
@@ -42,7 +50,7 @@ private:
   struct State {
     std::string source;
     std::unique_ptr<ir::KernelDecl> kernel;
-    features::KernelFeatures features;
+    features::CompiledFeatures features;
     std::vector<features::BufferAccess> accesses;
   };
 

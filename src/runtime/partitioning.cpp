@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/small_buffer.hpp"
 
 namespace tp::runtime {
 
@@ -42,9 +43,17 @@ std::string Partitioning::toString() const {
 }
 
 std::vector<std::size_t> apportion(std::size_t total, const Partitioning& p) {
+  std::vector<std::size_t> counts(p.numDevices(), 0);
+  apportionInto(total, p, counts);
+  return counts;
+}
+
+void apportionInto(std::size_t total, const Partitioning& p,
+                   std::span<std::size_t> counts) {
   const std::size_t n = p.numDevices();
-  std::vector<std::size_t> counts(n, 0);
-  if (total == 0) return counts;
+  TP_ASSERT(counts.size() == n);
+  std::fill(counts.begin(), counts.end(), std::size_t{0});
+  if (total == 0) return;
 
   // Denominator is the actual unit sum, so the result is exact even for
   // hand-built partitionings whose units do not sum to `divisions`.
@@ -57,30 +66,33 @@ std::vector<std::size_t> apportion(std::size_t total, const Partitioning& p) {
 
   // Largest-remainder in integer arithmetic: floor(total * units / sum)
   // per device, then hand the < n leftover items to the active devices
-  // with the largest remainders (stable sort: ties to lower index).
-  std::vector<std::size_t> remainder(n, 0);
+  // with the largest remainders (stable order: ties to lower index).
+  common::SmallBuffer<std::size_t, kInlineDevices> remainderStorage(n);
+  common::SmallBuffer<std::size_t, kInlineDevices> orderStorage(n);
+  const std::span<std::size_t> remainder = remainderStorage.span();
+  const std::span<std::size_t> order = orderStorage.span();
   std::size_t assigned = 0;
+  std::size_t active = 0;
   for (std::size_t d = 0; d < n; ++d) {
     const std::size_t scaled = total * static_cast<std::size_t>(p.units[d]);
     counts[d] = scaled / unitSum;
     remainder[d] = scaled % unitSum;
     assigned += counts[d];
+    if (p.units[d] == 0) continue;
+    // Stable insertion by descending remainder (n is a handful of
+    // devices; std::stable_sort would allocate a buffer).
+    std::size_t k = active++;
+    while (k > 0 && remainder[order[k - 1]] < remainder[d]) {
+      order[k] = order[k - 1];
+      --k;
+    }
+    order[k] = d;
   }
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (std::size_t d = 0; d < n; ++d) {
-    if (p.units[d] > 0) order.push_back(d);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return remainder[a] > remainder[b];
-                   });
   // sum(remainder) == (total - assigned) * unitSum, so the leftover count
   // is at most the number of active devices: one pass suffices.
-  std::size_t leftover = total - assigned;
-  TP_ASSERT(leftover <= order.size());
+  const std::size_t leftover = total - assigned;
+  TP_ASSERT(leftover <= active);
   for (std::size_t k = 0; k < leftover; ++k) ++counts[order[k]];
-  return counts;
 }
 
 PartitioningSpace::PartitioningSpace(std::size_t numDevices, int divisions)

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,15 @@ struct Partitioning {
 /// lower device index). Requires at least one active device when
 /// total > 0; throws tp::Error otherwise.
 std::vector<std::size_t> apportion(std::size_t total, const Partitioning& p);
+
+/// apportion() into caller storage of p.numDevices() elements; allocates
+/// nothing for machines of up to kInlineDevices devices.
+void apportionInto(std::size_t total, const Partitioning& p,
+                   std::span<std::size_t> counts);
+
+/// Device count up to which per-launch device temporaries stay on the
+/// stack (apportionInto, Scheduler::execute).
+inline constexpr std::size_t kInlineDevices = 16;
 
 /// Coarse family of a partitioning, used by the two-stage model:
 /// 0 = CPU only, 1 = single GPU, 2 = GPU-mixed (no CPU), 3 = CPU+GPU mixed.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "common/error.hpp"
+#include "common/small_buffer.hpp"
 
 namespace tp::runtime {
 
@@ -34,8 +36,13 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
 
   context_.resetClocks();
   const std::size_t totalGroups = task.numGroups();
-  const auto chunks = splitGroups(totalGroups, p);
-  const auto bindings = task.fullBindings();
+  common::SmallBuffer<std::size_t, kInlineDevices> countStorage(p.numDevices());
+  const std::span<std::size_t> groupCounts = countStorage.span();
+  apportionInto(totalGroups, p, groupCounts);
+  // Bind the launch's problem size once: every device chunk prices the
+  // same per-item counts.
+  const features::WorkCounts perItem =
+      task.features.counts(task.sizeBindings, task.globalSize);
   const bool compute = context_.mode() == vcl::ExecMode::Compute;
 
   // Private full-size scratch copies for MergeSum buffers, per device.
@@ -61,6 +68,7 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
   }
 
   ExecutionResult result;
+  result.devices.reserve(static_cast<std::size_t>(p.activeDevices()));
   double mergeBytes = 0.0;
   int mergeWriters = 0;
 
@@ -69,8 +77,10 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
   ctxTemplate.globalSize = task.globalSize;
   ctxTemplate.numGroups = totalGroups;
 
+  std::size_t gEnd = 0;
   for (std::size_t d = 0; d < context_.numDevices(); ++d) {
-    const auto [gBegin, gEnd] = chunks[d];
+    const std::size_t gBegin = gEnd;
+    gEnd += groupCounts[d];
     if (gBegin == gEnd) continue;
     const std::size_t itemBegin = gBegin * task.localSize;
     const std::size_t itemCount = (gEnd - gBegin) * task.localSize;
@@ -176,8 +186,8 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
       }
     }
     const auto kernelEvent =
-        queue.enqueueKernel(task.features, bindings, gBegin, gEnd, ctxTemplate,
-                            task.native, launchArgs, dramBytes);
+        queue.enqueueKernel(perItem, gBegin, gEnd, ctxTemplate, task.native,
+                            launchArgs, dramBytes);
     exec.kernelSeconds = kernelEvent.duration();
 
     // ---- device → host transfers --------------------------------------

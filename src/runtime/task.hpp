@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "features/access_analysis.hpp"
+#include "features/compiled_features.hpp"
 #include "features/runtime_features.hpp"
 #include "features/static_features.hpp"
 #include "ocl/buffer.hpp"
@@ -36,7 +37,8 @@ struct Task {
   std::string programName;   ///< benchmark / application name
   std::string kernelName;
 
-  features::KernelFeatures features;
+  /// Shared with the compiled kernel and every other Task of it.
+  features::CompiledFeatures features;
   std::vector<TaskArg> args;           ///< in kernel-parameter order
   vcl::NativeKernel native;            ///< work-group semantics (Compute mode)
 

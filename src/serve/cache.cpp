@@ -1,18 +1,84 @@
 #include "serve/cache.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 
 namespace tp::serve {
 
+namespace {
+
+/// Powers of ten exactly as std::pow(10.0, k) returns them, plus the
+/// decimal exponent floor(log10(x)) the libm formula yields for each table
+/// value itself. Built once; roundSignificant() reads it instead of calling
+/// log10 and pow on every key component.
+struct Pow10Table {
+  static constexpr int kMin = -340;
+  static constexpr int kMax = 340;
+  /// Relative distance from a power of ten inside which the table does
+  /// not trust its own bracket and defers to log10. libm's log10 is
+  /// accurate to a few ULP of its result (|result| <= 309, so one ULP is at
+  /// most 2^-43); a value this far from a power of ten has a logarithm at
+  /// least 1e-11 / ln(10) ~ 4e-12 from the nearest integer, far outside
+  /// that error, so floor(log10(x)) must equal the bracket exponent.
+  static constexpr double kWindow = 1e-11;
+
+  double pow10[kMax - kMin + 1];
+  int exactExponent[kMax - kMin + 1];
+
+  Pow10Table() {
+    for (int k = kMin; k <= kMax; ++k) {
+      const double p = std::pow(10.0, static_cast<double>(k));
+      pow10[k - kMin] = p;
+      exactExponent[k - kMin] =
+          p > 0.0 && std::isfinite(p)
+              ? static_cast<int>(std::floor(std::log10(p)))
+              : 0;
+    }
+  }
+
+  double at(int k) const { return pow10[k - kMin]; }
+};
+
+const Pow10Table& pow10Table() {
+  static const Pow10Table table;
+  return table;
+}
+
+/// floor(log10(a)) for finite a > 0, bit-identical to the libm formula.
+double decimalExponent(double a, const Pow10Table& t) {
+  // Subnormals are rare enough to take the libm path.
+  if (a < std::numeric_limits<double>::min()) return std::floor(std::log10(a));
+  // Estimate from the binary exponent, then settle it against the table.
+  const int binary =
+      static_cast<int>(std::bit_cast<std::uint64_t>(a) >> 52) - 1023;
+  int e = static_cast<int>(std::floor(binary * 0.30102999566398120));
+  while (a < t.at(e)) --e;
+  while (a >= t.at(e + 1)) ++e;
+  const double lo = t.at(e);
+  if (a == lo) return t.exactExponent[e - Pow10Table::kMin];
+  if (a > lo * (1.0 + Pow10Table::kWindow) &&
+      a < t.at(e + 1) * (1.0 - Pow10Table::kWindow)) {
+    return e;
+  }
+  return std::floor(std::log10(a));
+}
+
+}  // namespace
+
 double roundSignificant(double v, int digits) {
   if (digits <= 0 || v == 0.0 || !std::isfinite(v)) {
     return v == 0.0 ? 0.0 : v;
   }
-  const double exponent = std::floor(std::log10(std::fabs(v)));
-  const double scale =
-      std::pow(10.0, static_cast<double>(digits - 1) - exponent);
+  const Pow10Table& table = pow10Table();
+  const double exponent = decimalExponent(std::fabs(v), table);
+  const double k = static_cast<double>(digits - 1) - exponent;
+  const double scale = k >= Pow10Table::kMin && k <= Pow10Table::kMax
+                           ? table.at(static_cast<int>(k))
+                           : std::pow(10.0, k);
   // Near the double range limits (|v| ~ 1e±308) the scale or the product
   // can overflow; an unrounded key is still a valid, self-equal key,
   // whereas a NaN component would never equal itself.

@@ -72,8 +72,10 @@ struct PartitionService::MachineState {
   // are built lazily by the first claimer (the claim CAS serializes
   // ownership; busy release/acquire publishes the construction), so
   // startup cost scales with actual client concurrency, not with
-  // cores x machines.
-  struct InlineLane {
+  // cores x machines. Each lane fills its own cache line: callers
+  // claiming neighbouring lanes would otherwise bounce one shared line on
+  // every claim and release.
+  struct alignas(common::kCacheLineBytes) InlineLane {
     std::atomic<std::uint32_t> busy{0};
     std::unique_ptr<vcl::Context> context;
     std::unique_ptr<runtime::Scheduler> scheduler;

@@ -21,29 +21,22 @@ double DeviceModel::utilization(double items) const {
   return items / (items + saturationItems);
 }
 
-double DeviceModel::kernelTime(const features::KernelFeatures& f,
-                               const std::map<std::string, double>& bindings,
+double DeviceModel::kernelTime(const features::WorkCounts& perItem,
                                double items, double localSize,
                                double dramBytes) const {
   TP_ASSERT_MSG(items >= 0.0, "negative work size " << items);
   if (items == 0.0) return 0.0;
   TP_ASSERT(localSize >= 1.0);
 
-  auto per = [&](const ir::WorkExpr& e) {
-    // Clamp: symbolic counts can evaluate slightly negative for degenerate
-    // bindings (e.g. zero-trip loops); they mean "no work".
-    return std::max(0.0, e.eval(bindings));
-  };
-
   const double util = utilization(items);
   const double eff = archEfficiency * util;
 
-  const double intTotal = per(f.intOps) * items;
-  const double floatTotal = per(f.floatOps) * items;
-  const double specialTotal = per(f.specialOps) * items;
-  const double branchTotal = per(f.branches) * items;
-  const double atomicTotal = per(f.atomics) * items;
-  const double barrierTotal = per(f.barriers);  // per item; cost per group
+  const double intTotal = perItem.intOps * items;
+  const double floatTotal = perItem.floatOps * items;
+  const double specialTotal = perItem.specialOps * items;
+  const double branchTotal = perItem.branches * items;
+  const double atomicTotal = perItem.atomics * items;
+  const double barrierTotal = perItem.barriers;  // per item; cost per group
 
   // Transcendentals run on dedicated units (VLIW T-lane / SFUs), which
   // scalar code feeds just as well as tuned code — no archEfficiency there.
@@ -53,13 +46,13 @@ double DeviceModel::kernelTime(const features::KernelFeatures& f,
   // Divergent branches behave like extra (weighted) ALU work.
   const double tBranch = branchTotal * branchWeight / (floatRate * eff);
 
-  const double accessBytes = per(f.globalBytes()) * items;
+  const double accessBytes = perItem.globalBytes * items;
   // Accesses beyond the unique DRAM footprint are cache hits.
   const double uniqueBytes =
       dramBytes < 0.0 ? accessBytes : std::min(dramBytes, accessBytes);
   const double cachedBytes = accessBytes - uniqueBytes;
-  const double localBytes = (per(f.localAccesses) + per(f.privateAccesses)) *
-                            4.0 * items;
+  const double localBytes =
+      (perItem.localAccesses + perItem.privateAccesses) * 4.0 * items;
   const double tMemory =
       uniqueBytes / (memBandwidth * memEfficiency * util) +
       (cachedBytes + localBytes) / localBandwidth;

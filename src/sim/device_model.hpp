@@ -21,10 +21,9 @@
 // Transfers follow Gregg & Hazelwood [5]: every buffer movement is charged
 // latency + bytes/bandwidth, and CPU devices get near-zero-copy transfers.
 
-#include <map>
 #include <string>
 
-#include "features/static_features.hpp"
+#include "features/compiled_features.hpp"
 
 namespace tp::sim {
 
@@ -68,18 +67,17 @@ struct DeviceModel {
   double transferLatency = 20e-6;  ///< seconds per transfer operation
 
   /// Simulated execution time of `items` work items of a kernel whose
-  /// per-work-item symbolic counts are `f`, with size parameters bound.
-  /// `localSize` is the work-group size (for barrier accounting).
+  /// per-work-item counts, bound to the launch's problem size, are
+  /// `perItem` (features::CompiledFeatures::counts). `localSize` is the
+  /// work-group size (for barrier accounting).
   ///
   /// `dramBytes` is the unique global-memory footprint the chunk streams
   /// from DRAM (the scheduler derives it from buffer sizes and access
   /// classes: split slices count once, replicated buffers once in total —
   /// their repeated accesses hit cache at localBandwidth). Pass a negative
   /// value to charge every access to DRAM (no-reuse upper bound).
-  double kernelTime(const features::KernelFeatures& f,
-                    const std::map<std::string, double>& bindings,
-                    double items, double localSize,
-                    double dramBytes = -1.0) const;
+  double kernelTime(const features::WorkCounts& perItem, double items,
+                    double localSize, double dramBytes = -1.0) const;
 
   /// Simulated time of one host<->device transfer of `bytes`.
   double transferTime(double bytes) const;

@@ -272,7 +272,7 @@ TEST(Refiner, CountersConsistentUnderContention) {
   std::atomic<std::uint64_t> badLabels{0};
 
   pool.parallelFor(0, kOps, [&](std::size_t i) {
-    const auto k = key("p" + std::to_string(i % kKeys));
+    const auto k = key(std::string("p").append(std::to_string(i % kKeys)));
     const std::size_t base = 2 + (i % kKeys) % 7;
     const auto d = refiner.decide(k, 0, base, ladder());
     if (d.label >= ladder().size()) badLabels.fetch_add(1);

@@ -282,7 +282,7 @@ TEST(TwoStage, RefinesWithinFamilies) {
     const double y = rng.uniform(0.0, 1.0);
     const int family = x < 3.0 ? 0 : 1;
     const int fine = family * 2 + (y < 0.5 ? 0 : 1);
-    d.add({x, y}, fine, "g" + std::to_string(i % 4));
+    d.add({x, y}, fine, std::string("g").append(std::to_string(i % 4)));
   }
   d.numClasses = 4;
 

@@ -30,7 +30,7 @@ Dataset twoMoons(std::size_t n, std::uint64_t seed) {
     const double cx = cls == 0 ? std::cos(t) : 1.0 - std::cos(t);
     const double cy = cls == 0 ? std::sin(t) : 0.5 - std::sin(t);
     d.add({cx + rng.gaussian(0, 0.08), cy + rng.gaussian(0, 0.08)}, cls,
-          "g" + std::to_string(i % 5));
+          std::string("g").append(std::to_string(i % 5)));
   }
   d.numClasses = 2;
   return d;
@@ -175,7 +175,7 @@ TEST(TwoStageExtra, UsesRealPartitioningFamilies) {
   for (int i = 0; i < 200; ++i) {
     const double logSize = rng.uniform(8.0, 24.0);
     d.add({logSize}, logSize < 16.0 ? cpuLabel : mixedLabel,
-          "p" + std::to_string(i % 6));
+          std::string("p").append(std::to_string(i % 6)));
   }
   d.numClasses = static_cast<int>(space.size());
 
@@ -213,7 +213,7 @@ TEST(CrossValExtra, GroupsNeverLeakIntoTraining) {
     for (int i = 0; i < 30; ++i) {
       // Label == group id; the only informative feature is the group id.
       d.add({static_cast<double>(g), rng.uniform()}, g,
-            "g" + std::to_string(g));
+            std::string("g").append(std::to_string(g)));
     }
   }
   d.numClasses = 5;

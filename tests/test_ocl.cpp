@@ -112,6 +112,11 @@ features::KernelFeatures trivialFeatures() {
   return f;
 }
 
+/// Bound per-item counts of trivialFeatures() for the launch `ctx`.
+features::WorkCounts trivialCounts(const WorkGroupCtx& ctx) {
+  return features::CompiledFeatures(trivialFeatures()).counts({}, ctx.globalSize);
+}
+
 TEST(CommandQueue, InOrderTimeline) {
   const auto machine = sim::makeMc2();
   CommandQueue queue(machine.devices[1], ExecMode::TimeOnly, nullptr);
@@ -124,7 +129,7 @@ TEST(CommandQueue, InOrderTimeline) {
   ctx.localSize = 64;
   ctx.globalSize = 4096;
   ctx.numGroups = 64;
-  const Event k = queue.enqueueKernel(trivialFeatures(), {}, 0, 64, ctx,
+  const Event k = queue.enqueueKernel(trivialCounts(ctx), 0, 64, ctx,
                                       nullptr, LaunchArgs{});
   EXPECT_DOUBLE_EQ(k.start, w.end);  // in-order
   EXPECT_GT(k.duration(), 0.0);
@@ -144,7 +149,7 @@ TEST(CommandQueue, EmptyChunkCostsNothing) {
   ctx.localSize = 64;
   ctx.globalSize = 1024;
   ctx.numGroups = 16;
-  const Event e = queue.enqueueKernel(trivialFeatures(), {}, 4, 4, ctx,
+  const Event e = queue.enqueueKernel(trivialCounts(ctx), 4, 4, ctx,
                                       nullptr, LaunchArgs{});
   EXPECT_DOUBLE_EQ(e.duration(), 0.0);
 }
@@ -163,7 +168,7 @@ TEST(CommandQueue, ComputeModeExecutesEachGroupExactlyOnce) {
                                       const LaunchArgs&) {
     hits[wg.groupId]++;
   };
-  queue.enqueueKernel(trivialFeatures(), {}, 3, 11, ctx, kernel,
+  queue.enqueueKernel(trivialCounts(ctx), 3, 11, ctx, kernel,
                       LaunchArgs{});
   for (std::size_t g = 0; g < 16; ++g) {
     EXPECT_EQ(hits[g].load(), (g >= 3 && g < 11) ? 1 : 0) << "group " << g;

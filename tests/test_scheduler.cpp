@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "common/hash.hpp"
 #include "runtime/compiler.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/strategy.hpp"
 #include "sim/machine.hpp"
+#include "suite/benchmark.hpp"
 
 namespace tp::runtime {
 namespace {
@@ -255,6 +261,114 @@ TEST(Strategies, DefaultsPickTheirCorners) {
   OracleStrategy oracle;
   const std::size_t best = oracle.choose(task, ctx, space);
   EXPECT_LT(best, space.size());
+}
+
+// Golden execution digest: every suite program at every ladder size on
+// both evaluation machines under all 66 partitionings, TimeOnly. The
+// digest folds the bit patterns of every makespan and per-device time, so
+// any change to the cost model's arithmetic (term order, multiply/sum
+// order, clamping, default bindings) fails here even when it moves no
+// decision. The expected values were recorded from the map-binding
+// implementation the compiled cost plan replaced.
+TEST(SchedulerGolden, SuiteLadderExecutionsAreBitIdentical) {
+  const auto machines = sim::evaluationMachines();
+  std::vector<std::unique_ptr<vcl::Context>> contexts;
+  for (const auto& machine : machines) {
+    contexts.push_back(std::make_unique<vcl::Context>(
+        machine, vcl::ExecMode::TimeOnly, nullptr));
+  }
+  const PartitioningSpace space(3, 10);
+  ASSERT_EQ(space.size(), 66u);
+
+  std::uint64_t digest = common::kFnvOffset;
+  std::size_t executions = 0;
+  for (const auto& bench : suite::allBenchmarks()) {
+    for (const std::size_t n : bench.sizes) {
+      const auto inst = bench.make(n);
+      for (const auto& ctx : contexts) {
+        ASSERT_EQ(ctx->numDevices(), space.numDevices());
+        Scheduler scheduler(*ctx);
+        for (const auto& p : space.all()) {
+          const ExecutionResult r = scheduler.execute(inst.task, p);
+          digest = common::fnvDouble(digest, r.makespan);
+          digest = common::fnvDouble(digest, r.mergeSeconds);
+          for (const auto& d : r.devices) {
+            digest = common::fnvU64(digest, d.device);
+            digest = common::fnvDouble(digest, d.transferInSeconds);
+            digest = common::fnvDouble(digest, d.kernelSeconds);
+            digest = common::fnvDouble(digest, d.transferOutSeconds);
+            digest = common::fnvDouble(digest, d.endTime);
+          }
+          ++executions;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(executions, 18216u);
+  EXPECT_EQ(digest, 0x63008c61eaa26ac7ull) << std::hex << digest;
+}
+
+// The suite's launches bind every count parameter to a scalar argument and
+// mostly use power-of-two sizes, where products are exact. This kernel
+// covers what they leave out: get_global_size in the counts (with a stale
+// size binding of the same name that the real global size must override),
+// an unknown-trip while loop (unbound, evaluated at 16), weighted branch
+// arms and special functions, at sizes whose products round.
+const char* kEdgeSrc = R"(
+__kernel void edge(__global const float* in, __global float* out, int K) {
+  int i = get_global_id(0);
+  float acc = 0.0f;
+  for (int k = 0; k < K; k++) {
+    if (in[i] > 0.5f) {
+      acc += in[i] * 0.3f;
+    } else {
+      acc -= 1.0f;
+    }
+  }
+  for (int j = 0; j < get_global_size(0) / 64; j++) {
+    acc += 1.0f;
+  }
+  int m = K;
+  while (m > 1) {
+    acc = sqrt(acc + 1.0f);
+    m = m / 3;
+  }
+  out[i] = acc;
+}
+)";
+
+TEST(SchedulerGolden, SymbolicEdgeCasesAreBitIdentical) {
+  static const CompiledKernel compiled = CompiledKernel::compile(kEdgeSrc);
+  const PartitioningSpace space(3, 10);
+  std::uint64_t digest = common::kFnvOffset;
+  for (const auto& machine : sim::evaluationMachines()) {
+    vcl::Context ctx(machine, vcl::ExecMode::TimeOnly, nullptr);
+    Scheduler scheduler(ctx);
+    for (const std::size_t groups : {37u, 1000u, 4099u}) {
+      for (const int k : {7, 100, 333}) {
+        const std::size_t n = groups * 64;
+        const Task task =
+            TaskBuilder(compiled, "edge")
+                .global(n)
+                .local(64)
+                .arg(std::make_shared<vcl::Buffer>(vcl::ElemKind::F32, n))
+                .arg(std::make_shared<vcl::Buffer>(vcl::ElemKind::F32, n))
+                .arg(k)
+                .bind(features::kGlobalSizeParam, 3.0)
+                .transferAmortization(3.0)
+                .build();
+        for (const auto& p : space.all()) {
+          const ExecutionResult r = scheduler.execute(task, p);
+          digest = common::fnvDouble(digest, r.makespan);
+          for (const auto& d : r.devices) {
+            digest = common::fnvDouble(digest, d.kernelSeconds);
+            digest = common::fnvDouble(digest, d.endTime);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xda447c22146f2ce6ull) << std::hex << digest;
 }
 
 }  // namespace

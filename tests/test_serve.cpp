@@ -140,7 +140,8 @@ TEST(DecisionCacheBasics, CapacityRoundsUpToPowerOfTwoAndBoundsOccupancy) {
   EXPECT_EQ(cache.capacity(), 16u);  // rounded up, occupancy-bounded
   for (int i = 0; i < 200; ++i) {
     const auto k =
-        key(cache, "p" + std::to_string(i), {static_cast<double>(i)});
+        key(cache, std::string("p").append(std::to_string(i)),
+            {static_cast<double>(i)});
     cache.insert(k.fp, k.key, static_cast<std::size_t>(i % 97));
   }
   EXPECT_LE(cache.size(), cache.capacity());
@@ -942,7 +943,9 @@ TEST(PartitionService, LoadShedHealthRuleEmitsOneBreachClearPair) {
   std::size_t breaches = 0, clears = 0;
   for (const auto& event : monitor.events()) {
     if (event.rule.find("load_shed") == std::string::npos) continue;
-    if (!event.cleared) EXPECT_EQ(event.severity, obs::Severity::Critical);
+    if (!event.cleared) {
+      EXPECT_EQ(event.severity, obs::Severity::Critical);
+    }
     event.cleared ? ++clears : ++breaches;
   }
   EXPECT_EQ(breaches, 1u);  // deduped: sustained shedding pages once

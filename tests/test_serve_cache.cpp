@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,6 +54,72 @@ struct KeyUniverse {
     return launchFingerprint(pairId, key.features);
   }
 };
+
+/// roundSignificant() as the libm formula: one log10 and one pow per
+/// call. The table-driven implementation must match it bit for bit.
+double referenceRoundSignificant(double v, int digits) {
+  if (digits <= 0 || v == 0.0 || !std::isfinite(v)) {
+    return v == 0.0 ? 0.0 : v;
+  }
+  const double exponent = std::floor(std::log10(std::fabs(v)));
+  const double scale =
+      std::pow(10.0, static_cast<double>(digits - 1) - exponent);
+  if (!std::isfinite(scale) || scale == 0.0) return v;
+  const double rounded = std::round(v * scale) / scale;
+  if (!std::isfinite(rounded)) return v;
+  return rounded == 0.0 ? 0.0 : rounded;
+}
+
+void expectSameRounding(double v, std::size_t* checked) {
+  for (int digits = 1; digits <= 15; ++digits) {
+    for (const double x : {v, -v}) {
+      const auto got = std::bit_cast<std::uint64_t>(roundSignificant(x, digits));
+      const auto want =
+          std::bit_cast<std::uint64_t>(referenceRoundSignificant(x, digits));
+      ASSERT_EQ(got, want) << std::hexfloat << x << " digits=" << digits;
+      ++*checked;
+    }
+  }
+}
+
+TEST(RoundSignificantDifferential, MatchesLibmFormulaOnRandomValues) {
+  common::Rng rng(20240611);
+  std::size_t checked = 0;
+  for (int i = 0; i < 20000; ++i) {
+    // Every finite double pattern, subnormals included...
+    const double bits = std::bit_cast<double>(rng());
+    if (std::isfinite(bits)) expectSameRounding(bits, &checked);
+    // ...and log-uniform magnitudes over the range launch signatures use.
+    expectSameRounding(std::pow(10.0, rng.uniform(-8.0, 16.0)), &checked);
+    // Integers, like NDRange sizes and byte counts.
+    expectSameRounding(static_cast<double>(rng.below(1ull << 40)), &checked);
+  }
+  EXPECT_GT(checked, 1'000'000u);
+}
+
+TEST(RoundSignificantDifferential, MatchesLibmFormulaAroundPowersOfTen) {
+  // Bracket edges are where a table lookup and floor(log10(x)) can
+  // disagree: both std::pow's 10^k and the correctly rounded decimal
+  // literal, each with its three neighbours on either side.
+  std::size_t checked = 0;
+  for (int k = -325; k <= 309; ++k) {
+    const std::string literal = "1e" + std::to_string(k);
+    for (double p : {std::pow(10.0, static_cast<double>(k)),
+                     std::strtod(literal.c_str(), nullptr)}) {
+      if (p == 0.0 || !std::isfinite(p)) continue;
+      double below = p;
+      double above = p;
+      expectSameRounding(p, &checked);
+      for (int ulp = 0; ulp < 3; ++ulp) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, HUGE_VAL);
+        if (below != 0.0) expectSameRounding(below, &checked);
+        if (std::isfinite(above)) expectSameRounding(above, &checked);
+      }
+    }
+  }
+  EXPECT_GT(checked, 100'000u);
+}
 
 using ReferenceModel =
     std::unordered_map<DecisionKey, std::size_t, DecisionKeyHash>;

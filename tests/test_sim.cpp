@@ -4,16 +4,23 @@
 
 #include <gtest/gtest.h>
 
-#include "features/static_features.hpp"
+#include "features/compiled_features.hpp"
 #include "frontend/parser.hpp"
 #include "sim/machine.hpp"
 
 namespace tp::sim {
 namespace {
 
-features::KernelFeatures featuresOf(const char* src) {
+features::CompiledFeatures featuresOf(const char* src) {
   const auto kernel = frontend::parseSingleKernel(src);
   return features::extractFeatures(*kernel);
+}
+
+/// Per-item counts of `f` for a launch of `items` work items.
+features::WorkCounts countsAt(const features::CompiledFeatures& f,
+                              const std::map<std::string, double>& bind,
+                              double items) {
+  return f.counts(bind, static_cast<std::size_t>(items));
 }
 
 const char* kStreamingKernel = R"(
@@ -56,7 +63,8 @@ TEST(DeviceModel, KernelTimeMonotonicInItems) {
   const std::map<std::string, double> bind = {{"K", 100.0}};
   double prev = 0.0;
   for (const double items : {64.0, 1024.0, 65536.0, 1048576.0}) {
-    const double t = m.devices[1].kernelTime(f, bind, items, 64.0);
+    const double t =
+        m.devices[1].kernelTime(countsAt(f, bind, items), items, 64.0);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -67,7 +75,8 @@ TEST(DeviceModel, KernelTimeMonotonicInWork) {
   const auto m = makeMc1();
   double prev = 0.0;
   for (const double k : {10.0, 100.0, 1000.0}) {
-    const double t = m.cpu().kernelTime(f, {{"K", k}}, 4096.0, 64.0);
+    const double t =
+        m.cpu().kernelTime(countsAt(f, {{"K", k}}, 4096.0), 4096.0, 64.0);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -76,7 +85,7 @@ TEST(DeviceModel, KernelTimeMonotonicInWork) {
 TEST(DeviceModel, ZeroItemsIsFree) {
   const auto f = featuresOf(kStreamingKernel);
   const auto m = makeMc1();
-  EXPECT_DOUBLE_EQ(m.cpu().kernelTime(f, {}, 0.0, 64.0), 0.0);
+  EXPECT_DOUBLE_EQ(m.cpu().kernelTime(countsAt(f, {}, 0.0), 0.0, 64.0), 0.0);
 }
 
 TEST(DeviceModel, UtilizationSaturates) {
@@ -123,14 +132,15 @@ TEST(Machines, DefaultStrategyOrderingDiffersAcrossMachines) {
   const std::map<std::string, double> bind = {{"K", 2000.0}};
   const double items = 1 << 20;
   const double bytes = items * 8.0;  // in + out
+  const auto counts = countsAt(f, bind, items);
 
   const auto mc1 = makeMc1();
-  const double cpu1 = mc1.cpu().kernelTime(f, bind, items, 64.0);
-  const double gpu1 = mc1.devices[1].kernelTime(f, bind, items, 64.0) +
+  const double cpu1 = mc1.cpu().kernelTime(counts, items, 64.0);
+  const double gpu1 = mc1.devices[1].kernelTime(counts, items, 64.0) +
                       mc1.devices[1].transferTime(bytes);
   const auto mc2 = makeMc2();
-  const double cpu2 = mc2.cpu().kernelTime(f, bind, items, 64.0);
-  const double gpu2 = mc2.devices[1].kernelTime(f, bind, items, 64.0) +
+  const double cpu2 = mc2.cpu().kernelTime(counts, items, 64.0);
+  const double gpu2 = mc2.devices[1].kernelTime(counts, items, 64.0) +
                       mc2.devices[1].transferTime(bytes);
 
   // mc2's GPU must clearly win on compute-heavy work.
@@ -146,13 +156,14 @@ TEST(Machines, BranchDivergenceHurtsGpusMore) {
   const double items = 1 << 18;
 
   for (const auto& m : evaluationMachines()) {
-    const double cpu = m.cpu().kernelTime(f, bind, items, 64.0);
-    const double gpu = m.devices[1].kernelTime(f, bind, items, 64.0);
+    const auto branchy = countsAt(f, bind, items);
+    const double cpu = m.cpu().kernelTime(branchy, items, 64.0);
+    const double gpu = m.devices[1].kernelTime(branchy, items, 64.0);
     // Branch-heavy work narrows (or reverses) the GPU's advantage relative
     // to pure compute.
-    const auto fc = featuresOf(kComputeKernel);
-    const double cpuC = m.cpu().kernelTime(fc, bind, items, 64.0);
-    const double gpuC = m.devices[1].kernelTime(fc, bind, items, 64.0);
+    const auto compute = countsAt(featuresOf(kComputeKernel), bind, items);
+    const double cpuC = m.cpu().kernelTime(compute, items, 64.0);
+    const double gpuC = m.devices[1].kernelTime(compute, items, 64.0);
     EXPECT_LT(cpu / gpu, cpuC / gpuC)
         << "machine " << m.name
         << ": branchy kernel should favor the CPU more than compute kernel";
@@ -164,9 +175,10 @@ TEST(Machines, SmallProblemsFavorCpu) {
   const auto m = makeMc2();  // even on the GPU-friendly machine
   const double items = 4096;
   const double bytes = items * 8.0;
-  const double cpu = m.cpu().kernelTime(f, {}, items, 64.0) +
-                     m.cpu().transferTime(bytes);
-  const double gpu = m.devices[1].kernelTime(f, {}, items, 64.0) +
+  const auto counts = countsAt(f, {}, items);
+  const double cpu =
+      m.cpu().kernelTime(counts, items, 64.0) + m.cpu().transferTime(bytes);
+  const double gpu = m.devices[1].kernelTime(counts, items, 64.0) +
                      m.devices[1].transferTime(bytes);
   EXPECT_LT(cpu, gpu);
 }
@@ -178,9 +190,10 @@ TEST(Machines, MemoryBoundWorkIncludingTransfersFavorsCpu) {
   for (const auto& m : evaluationMachines()) {
     const double items = 1 << 22;
     const double bytes = items * 8.0;
-    const double cpu = m.cpu().kernelTime(f, {}, items, 64.0) +
-                       m.cpu().transferTime(bytes);
-    const double gpu = m.devices[1].kernelTime(f, {}, items, 64.0) +
+    const auto counts = countsAt(f, {}, items);
+    const double cpu =
+        m.cpu().kernelTime(counts, items, 64.0) + m.cpu().transferTime(bytes);
+    const double gpu = m.devices[1].kernelTime(counts, items, 64.0) +
                        m.devices[1].transferTime(bytes);
     EXPECT_LT(cpu, gpu) << "machine " << m.name;
   }

@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SuiteCase>& info) {
       std::string name = info.param.benchmark;
       for (const int u : info.param.units) {
-        name += "_" + std::to_string(u);
+        name.append("_").append(std::to_string(u));
       }
       return name;
     });

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "features/compiled_features.hpp"
 #include "ir/workexpr.hpp"
 
 namespace tp::ir {
@@ -92,6 +97,90 @@ TEST(WorkExpr, ParametersSorted) {
   EXPECT_EQ(params[1], "m");
   EXPECT_EQ(params[2], "z");
 }
+
+TEST(SlotProgram, SlotsAreTheSortedUnionOfParameters) {
+  const WorkExpr a = WorkExpr::variable("N") * WorkExpr::variable("K");
+  const WorkExpr b = WorkExpr::variable("M") + WorkExpr::constant(2.0);
+  const SlotProgram prog({a, b, WorkExpr{}});
+  EXPECT_EQ(prog.numExprs(), 3u);
+  EXPECT_EQ(prog.numSlots(), 3u);
+  EXPECT_EQ(prog.slotOf("K"), 0u);
+  EXPECT_EQ(prog.slotOf("M"), 1u);
+  EXPECT_EQ(prog.slotOf("N"), 2u);
+  EXPECT_EQ(prog.slotOf("Q"), SlotProgram::npos);
+}
+
+TEST(SlotProgram, UnboundParametersTakeTheDefault) {
+  const WorkExpr e = WorkExpr::variable("N") * 3.0 + WorkExpr::variable("K");
+  const SlotProgram prog({e});
+  std::vector<double> slots(prog.numSlots());
+  // Only N is bound; K falls back to 16, like WorkExpr::eval().
+  prog.bind({{"N", 5.0}, {"unrelated", 7.0}}, slots);
+  EXPECT_EQ(slots, (std::vector<double>{16.0, 5.0}));
+  EXPECT_EQ(prog.eval(0, slots), e.eval({{"N", 5.0}}));
+  EXPECT_EQ(prog.eval(0, slots), 31.0);
+  prog.bind({}, slots, 2.0);
+  EXPECT_EQ(prog.eval(0, slots), e.eval({}, 2.0));
+}
+
+TEST(SlotProgram, GlobalSizeOverridesASizeBindingOfTheSameName) {
+  features::KernelFeatures f;
+  f.floatOps = WorkExpr::variable(features::kGlobalSizeParam) * 2.0 +
+               WorkExpr::variable("N");
+  f.intOps = WorkExpr::variable("unbound");
+  const features::CompiledFeatures compiled(f);
+  // get_global_size wins over a stale size binding of the same name, as
+  // in runtime::Task::fullBindings().
+  const features::WorkCounts c = compiled.counts(
+      {{features::kGlobalSizeParam, 1.0}, {"N", 3.0}}, /*globalSize=*/100);
+  EXPECT_EQ(c.floatOps, 203.0);
+  EXPECT_EQ(c.intOps, 16.0);
+  EXPECT_EQ(c.globalBytes, 0.0);
+}
+
+TEST(SlotProgram, CountsClampNegativeWorkToZero) {
+  features::KernelFeatures f;
+  f.branches = WorkExpr::variable("N") - WorkExpr::constant(4.0);
+  const features::CompiledFeatures compiled(f);
+  EXPECT_EQ(compiled.counts({{"N", 1.0}}, 64).branches, 0.0);
+  EXPECT_EQ(compiled.counts({{"N", 9.0}}, 64).branches, 5.0);
+}
+
+// Property: the compiled program performs WorkExpr::eval()'s exact
+// floating-point operations, so results agree bit for bit.
+class SlotProgramProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SlotProgramProperty, EvalIsBitIdenticalToWorkExprEval) {
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
+  const char* vars[] = {"N", "K", "M", "__global_size_0", "__unknown_loop"};
+  std::vector<WorkExpr> exprs;
+  for (int x = 0; x < 9; ++x) {
+    WorkExpr e = WorkExpr::constant(rng.uniform(-3.0, 3.0));
+    for (int t = 0; t < 4; ++t) {
+      WorkExpr term = WorkExpr::constant(rng.uniform(-2.0, 2.0));
+      for (int f = 0; f < static_cast<int>(rng.below(4)); ++f) {
+        term = term * WorkExpr::variable(vars[rng.below(5)]);
+      }
+      e += term;
+    }
+    exprs.push_back(e);
+  }
+  std::map<std::string, double> bind;
+  for (const char* v : vars) {
+    if (rng.below(3) != 0) bind[v] = rng.uniform(0.1, 5000.0);
+  }
+  const SlotProgram prog(exprs);
+  std::vector<double> slots(prog.numSlots());
+  prog.bind(bind, slots);
+  for (std::size_t x = 0; x < exprs.size(); ++x) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(prog.eval(x, slots)),
+              std::bit_cast<std::uint64_t>(exprs[x].eval(bind)))
+        << exprs[x].toString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, SlotProgramProperty,
+                         ::testing::Range(0, 50));
 
 // Property: ring axioms hold under random evaluation.
 class WorkExprProperty : public ::testing::TestWithParam<int> {};
