@@ -39,8 +39,10 @@
 // With --json the headline numbers (shed rate, breaker recovery time,
 // injected-fault counters, convergence checks) are written as a flat
 // JSON object; scripts/bench.sh appends it to the repo trajectory as
-// BENCH_soak.json, and CI's chaos-smoke step validates the postmortem
-// bundle with scripts/validate_postmortem.py.
+// BENCH_soak.json, and CI's chaos-smoke step sweeps seeds and validates
+// each run's postmortem bundle with scripts/validate_postmortem.py. A
+// failing run with --postmortem-dir dumps one more bundle whose reason
+// names the seed and the first failed check.
 
 #include <algorithm>
 #include <chrono>
@@ -119,10 +121,11 @@ Options parseArgs(int argc, char** argv) {
 }
 
 int failures = 0;
+std::string firstFailure;
 
 void check(bool ok, const std::string& what) {
   if (ok) return;
-  ++failures;
+  if (failures++ == 0) firstFailure = what;
   std::fprintf(stderr, "chaos_soak: FAIL: %s\n", what.c_str());
 }
 
@@ -596,7 +599,18 @@ int main(int argc, char** argv) {
   }
 
   if (failures > 0) {
-    std::fprintf(stderr, "chaos_soak: %d check(s) FAILED\n", failures);
+    char reason[96];
+    std::snprintf(reason, sizeof(reason),
+                  "chaos_soak: seed 0x%llx failed %d check(s): ",
+                  static_cast<unsigned long long>(opt.seed), failures);
+    std::fprintf(stderr, "%s%s\n", reason, firstFailure.c_str());
+    // The bundle names the seed, so a failure found by a seed sweep can
+    // be replayed from the artifact alone.
+    if (recorder) {
+      const std::uint64_t seq = recorder->dump(reason + firstFailure);
+      std::fprintf(stderr, "chaos_soak: failure bundle %s\n",
+                   recorder->pathFor(seq).c_str());
+    }
     return 1;
   }
   std::printf("chaos_soak: all post-heal checks passed\n");

@@ -6,9 +6,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/log.hpp"
+#include "common/striped.hpp"
 #include "features/runtime_features.hpp"
 #include "ml/classifier.hpp"
 #include "runtime/evaluation.hpp"
@@ -101,6 +105,49 @@ void BM_LaunchFingerprint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LaunchFingerprint);
+
+// Launch-signature quantization per component. Arg 0: exact integers
+// (NDRange sizes, byte counts — the fast path); arg 1: fractional values
+// (transfer scales, float parameters — the general path).
+void BM_RoundSignificant(benchmark::State& state) {
+  std::vector<double> values;
+  for (int i = 0; i < 64; ++i) {
+    const double n = static_cast<double>(4096 * (i + 1) + 64 * i);
+    values.push_back(state.range(0) == 0 ? n : n / 10.0 + 0.3);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::roundSignificant(values[i], 6));
+    i = (i + 1) & 63;
+  }
+}
+BENCHMARK(BM_RoundSignificant)->Arg(0)->Arg(1);
+
+// The per-request admission latch: one admit/gate-check/done round trip.
+// Arg 0: a single shared in-flight word (seq_cst add, gate load, seq_cst
+// sub, notify on the 1 -> 0 edge); arg 1: common::StripedLatch, where
+// each thread writes only its own stripe.
+void BM_InFlightLatch(benchmark::State& state) {
+  static std::atomic<std::uint64_t> inFlight{0};
+  static std::atomic<bool> accepting{true};
+  static common::StripedLatch latch;
+  if (state.range(0) == 0) {
+    for (auto _ : state) {
+      inFlight.fetch_add(1, std::memory_order_seq_cst);
+      benchmark::DoNotOptimize(accepting.load(std::memory_order_seq_cst));
+      if (inFlight.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+        inFlight.notify_all();
+      }
+    }
+  } else {
+    for (auto _ : state) {
+      latch.admit();
+      benchmark::DoNotOptimize(accepting.load(std::memory_order_seq_cst));
+      latch.done();
+    }
+  }
+}
+BENCHMARK(BM_InFlightLatch)->Arg(0)->Arg(1)->Threads(1)->Threads(3);
 
 // What every request that carries a Task by value pays to build and tear
 // it down (perfbench's request batches, the serving queue path).

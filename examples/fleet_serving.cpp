@@ -13,7 +13,9 @@
 //      and a gossip-off fleet; with gossip every replica issues strictly
 //      fewer probes (wins are shared, not rediscovered), and the fleet's
 //      steady-state refined makespan is no worse than a single-replica
-//      refined baseline given the same total traffic.
+//      refined baseline given the same per-replica traffic — on most of
+//      a fixed set of refiner seeds and in the mean over them, since
+//      which local optimum a hill-climb settles in is seed-dependent.
 //   5. Kill + restart: snapshots are saved, the fleet is destroyed, a
 //      fresh fleet warm-starts from the snapshots and serves refined
 //      decisions immediately — zero probes, identical labels.
@@ -48,6 +50,10 @@ constexpr std::size_t kSkewedRequests = 900;
 // per ~1 sighting of each key per replica).
 constexpr std::size_t kWaves = 16;
 constexpr std::size_t kRequestsPerWave = 90;
+// Refiner seed of the adoption and restart phases, and the first of the
+// kEconomySeeds consecutive seeds the probe-economics phase runs on.
+constexpr std::uint64_t kRefinerSeed = 0xBEEF;
+constexpr std::size_t kEconomySeeds = 16;
 
 int failures = 0;
 
@@ -84,7 +90,8 @@ struct Workload {
     weakModel = std::shared_ptr<const ml::Classifier>(std::move(model));
   }
 
-  fleet::FleetConfig config(std::size_t replicas, bool gossip) const {
+  fleet::FleetConfig config(std::size_t replicas, bool gossip,
+                            std::uint64_t refinerSeed = kRefinerSeed) const {
     fleet::FleetConfig fc;
     fc.replicas = replicas;
     fc.gossipEnabled = gossip;
@@ -98,10 +105,9 @@ struct Workload {
     // plateau around the CPU-only default on transfer-bound kernels.
     fc.service.refiner.neighborRadius = 2;
     // The probe trajectory (and hence which local optimum each replica
-    // settles in) depends on the seed through the per-shard Rng streams;
-    // keys shard by their serving fingerprint, so re-tune this if the
-    // fingerprint scheme changes.
-    fc.service.refiner.seed = 0xBEEF;
+    // settles in) depends on the seed through the per-shard Rng streams,
+    // and keys shard by their serving fingerprint.
+    fc.service.refiner.seed = refinerSeed;
     return fc;
   }
 
@@ -158,6 +164,45 @@ double steadyStateMean(fleet::Replica& replica, const Workload& wl) {
     }
   }
   return sum / static_cast<double>(wl.distinctLaunches());
+}
+
+/// Probe counts and steady-state makespans of one probe-economics run.
+struct Economics {
+  std::uint64_t probesOn = 0;
+  std::uint64_t probesOff = 0;
+  double steadyFleet = 0.0;
+  double steadySingle = 0.0;
+};
+
+/// The same uniform traffic through a gossip-on and a gossip-off 3-replica
+/// fleet, and a third of it through a single replica, all with refiner
+/// seed `seed`.
+Economics probeEconomics(const Workload& wl, std::uint64_t seed) {
+  Economics e;
+  {
+    fleet::Fleet fleet(wl.config(3, /*gossip=*/true, seed));
+    for (const auto& machine : wl.machines) {
+      fleet.addMachine(machine, wl.weakModel);
+    }
+    e.probesOn = driveWaves(fleet, wl, /*gossip=*/true, kRequestsPerWave);
+    e.steadyFleet = steadyStateMean(fleet.replica(0), wl);
+  }
+  {
+    fleet::Fleet fleet(wl.config(3, /*gossip=*/false, seed));
+    for (const auto& machine : wl.machines) {
+      fleet.addMachine(machine, wl.weakModel);
+    }
+    e.probesOff = driveWaves(fleet, wl, /*gossip=*/false, kRequestsPerWave);
+  }
+  {
+    fleet::Fleet fleet(wl.config(1, /*gossip=*/false, seed));
+    for (const auto& machine : wl.machines) {
+      fleet.addMachine(machine, wl.weakModel);
+    }
+    (void)driveWaves(fleet, wl, /*gossip=*/false, kRequestsPerWave / 3);
+    e.steadySingle = steadyStateMean(fleet.replica(0), wl);
+  }
+  return e;
 }
 
 }  // namespace
@@ -260,43 +305,38 @@ int main() {
   // (one third of the fleet's): the claim under test is that gossip
   // makes each fleet replica at least as refined as a lone service
   // seeing the same load, while probing strictly less than isolated
-  // replicas would.
-  std::uint64_t probesOn = 0, probesOff = 0;
-  double steadyFleet = 0.0, steadySingle = 0.0;
-  {
-    fleet::Fleet fleet(wl.config(3, /*gossip=*/true));
-    for (const auto& machine : wl.machines) {
-      fleet.addMachine(machine, wl.weakModel);
-    }
-    probesOn = driveWaves(fleet, wl, /*gossip=*/true, kRequestsPerWave);
-    steadyFleet = steadyStateMean(fleet.replica(0), wl);
+  // replicas would. Probing less must hold on every seed; the makespan
+  // comparison is between two stochastic hill-climbs, so it must hold on
+  // a majority of the seeds and in the mean over all of them.
+  std::size_t fleetNoWorse = 0;
+  double meanFleet = 0.0, meanSingle = 0.0;
+  for (std::size_t k = 0; k < kEconomySeeds; ++k) {
+    const std::uint64_t seed = kRefinerSeed - k;
+    const Economics e = probeEconomics(wl, seed);
+    std::printf("refiner seed 0x%llX: probes per replica (max) %llu with "
+                "gossip, %llu without; steady-state makespan %.1fus fleet "
+                "vs %.1fus single\n",
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(e.probesOn),
+                static_cast<unsigned long long>(e.probesOff),
+                1e6 * e.steadyFleet, 1e6 * e.steadySingle);
+    expect(e.probesOn < e.probesOff,
+           "gossip strictly reduces probes per replica (wins are shared, "
+           "not rediscovered)");
+    if (e.steadyFleet <= e.steadySingle * (1.0 + 1e-9)) ++fleetNoWorse;
+    meanFleet += e.steadyFleet / static_cast<double>(kEconomySeeds);
+    meanSingle += e.steadySingle / static_cast<double>(kEconomySeeds);
   }
-  {
-    fleet::Fleet fleet(wl.config(3, /*gossip=*/false));
-    for (const auto& machine : wl.machines) {
-      fleet.addMachine(machine, wl.weakModel);
-    }
-    probesOff = driveWaves(fleet, wl, /*gossip=*/false, kRequestsPerWave);
-  }
-  {
-    fleet::Fleet fleet(wl.config(1, /*gossip=*/false));
-    for (const auto& machine : wl.machines) {
-      fleet.addMachine(machine, wl.weakModel);
-    }
-    (void)driveWaves(fleet, wl, /*gossip=*/false, kRequestsPerWave / 3);
-    steadySingle = steadyStateMean(fleet.replica(0), wl);
-  }
-  std::printf("probes per replica (max): %llu with gossip, %llu without; "
-              "steady-state makespan %.1fus fleet vs %.1fus single\n",
-              static_cast<unsigned long long>(probesOn),
-              static_cast<unsigned long long>(probesOff),
-              1e6 * steadyFleet, 1e6 * steadySingle);
-  expect(probesOn < probesOff,
-         "gossip strictly reduces probes per replica (wins are shared, "
-         "not rediscovered)");
-  expect(steadyFleet <= steadySingle * (1.0 + 1e-9),
+  std::printf("fleet steady state no worse than single replica on %zu of "
+              "%zu seeds; mean %.2fus fleet vs %.2fus single\n",
+              fleetNoWorse, kEconomySeeds, 1e6 * meanFleet,
+              1e6 * meanSingle);
+  expect(2 * fleetNoWorse > kEconomySeeds,
          "fleet steady-state refined makespan <= single-replica baseline "
-         "at equal per-replica traffic");
+         "at equal per-replica traffic on a majority of refiner seeds");
+  expect(meanFleet <= meanSingle * (1.0 + 1e-9),
+         "mean fleet steady-state refined makespan <= single-replica "
+         "baseline over the refiner seeds");
 
   if (failures == 0) {
     std::printf("\nfleet_serving OK\n");

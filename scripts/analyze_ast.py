@@ -79,7 +79,7 @@ SOURCE_EXTS = (".hpp", ".cpp")
 A1_ALLOW = (
     # No entries: every implicit-seq_cst site in the tree was converted
     # to an explicit order. Deliberate seq_cst (the drain()/shutdown()
-    # accepting_/inFlight_ protocol in serve/service.cpp) is spelled
+    # accepting_ gate in serve/service.cpp and common::StripedLatch) is spelled
     # std::memory_order_seq_cst and therefore passes without suppression.
 )
 

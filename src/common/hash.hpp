@@ -1,8 +1,10 @@
 #pragma once
 
-// FNV-1a hashing primitives, shared by the key hashers (serve's decision
-// cache, adapt's refine keys, fleet's gossip digests) so hash constants,
-// byte-folding logic and the launch-key layout live in exactly one place.
+// Hashing primitives, shared by the key hashers (serve's decision cache,
+// adapt's refine keys, fleet's gossip digests) so hash constants, folding
+// logic and the launch-key layout live in exactly one place: byte-wise
+// FNV-1a for digests and a word-wise 128-bit fold for hot-path
+// fingerprints.
 
 #include <bit>
 #include <cstddef>
@@ -73,12 +75,14 @@ inline constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
-/// 128-bit key fingerprint. Two independently-seeded FNV-1a streams over
-/// the same bytes, each avalanche-finalized; a collision requires both
-/// streams to collide simultaneously. Used where the full key is too
-/// expensive for the hot path (the serving decision cache, the refiner's
-/// key table): readers compare fingerprints only, writers keep the full
-/// key beside the table and verify it on insert.
+/// 128-bit key fingerprint. Two independently-seeded word-wise streams
+/// over the same 64-bit words, each avalanche-finalized; a collision
+/// requires both streams to collide simultaneously. Used where the full
+/// key is too expensive for the hot path (the serving decision cache, the
+/// refiner's key table): readers compare fingerprints only, writers keep
+/// the full key beside the table and verify it on insert. Fingerprints
+/// are process-local — never persisted, sent or pinned — so the fold may
+/// change between builds; the FNV digests above may not.
 struct Fingerprint {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -94,21 +98,38 @@ struct FingerprintHash {
 
 /// Incremental Fingerprint builder: fold fields in a fixed order, then
 /// take(). Allocation-free; lives on the caller's stack.
+///
+/// Each stream folds one whole word per step: xor it in, multiply by an
+/// odd constant, then xorshift the high half down so the next multiply
+/// carries it back up. Both steps are bijections of the state for a fixed
+/// word and of the word for a fixed state, so two word sequences of equal
+/// length that differ in exactly one word always end in different states,
+/// and mix64 (itself a bijection) then changes both output halves.
 class FingerprintBuilder {
 public:
   static constexpr std::uint64_t kOffsetB = kFnvOffset ^ 0x9E3779B97F4A7C15ull;
+  static constexpr std::uint64_t kMulA = 0x9E3779B97F4A7C15ull;
+  static constexpr std::uint64_t kMulB = 0xC2B2AE3D27D4EB4Full;
 
   FingerprintBuilder& u64(std::uint64_t v) noexcept {
-    a_ = fnvU64(a_, v);
-    b_ = fnvU64(b_, v);
+    a_ = fold(a_, v, kMulA);
+    b_ = fold(b_, v, kMulB);
     return *this;
   }
   FingerprintBuilder& f64(double v) noexcept {
     return u64(std::bit_cast<std::uint64_t>(v));
   }
+  /// Length first, then the bytes eight at a time (little-endian) with
+  /// the tail zero-padded; the length makes the padding unambiguous.
   FingerprintBuilder& str(std::string_view s) noexcept {
-    a_ = fnvString(a_, s);
-    b_ = fnvString(b_, s);
+    u64(s.size());
+    for (std::size_t i = 0; i < s.size(); i += 8) {
+      std::uint64_t w = 0;
+      for (std::size_t j = 0; j < 8 && i + j < s.size(); ++j) {
+        w |= std::uint64_t{static_cast<unsigned char>(s[i + j])} << (8 * j);
+      }
+      u64(w);
+    }
     return *this;
   }
 
@@ -117,6 +138,12 @@ public:
   }
 
 private:
+  static constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t v,
+                                      std::uint64_t mul) noexcept {
+    h = (h ^ v) * mul;
+    return h ^ (h >> 29);
+  }
+
   std::uint64_t a_ = kFnvOffset;
   std::uint64_t b_ = kOffsetB;
 };

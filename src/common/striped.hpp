@@ -161,4 +161,94 @@ private:
   std::vector<CachePadded<std::atomic<std::uint64_t>>> stripes_;
 };
 
+/// In-flight latch, striped per thread: drain-style callers block until
+/// nothing admitted is still in flight, while admit() and done() write
+/// only the calling thread's own cache line. Each stripe holds monotonic
+/// admitted and done counts; an item may be admitted on one thread and
+/// done on another.
+///
+/// quiescent() sums every done count, then every admitted count. An item
+/// is done only after it was admitted, so at each instant D <= A; the done
+/// sum is at most D at the moment between the two passes and the admitted
+/// sum at least A, hence equal sums prove that at that moment nothing was
+/// in flight. All counts move with seq_cst read-modify-writes and are read
+/// with seq_cst loads, so callers may pair admit() with a seq_cst gate
+/// check (Dekker-style) against a closer that stores the gate and then
+/// waits.
+///
+/// wait() registers as a waiter and sleeps on an epoch word; done() bumps
+/// and notifies that word only while a waiter exists, so without waiters
+/// it never touches a shared line.
+class StripedLatch {
+public:
+  StripedLatch() : stripes_(defaultStripes()) {}
+
+  void admit() noexcept
+      TP_LOCK_FREE_AUDITED(
+          "seq_cst add on the caller's own stripe; orders against a "
+          "closer's seq_cst gate store; TSan: test_serve "
+          "PartitionService.ShutdownRacesDrainLoopAndMixedTraffic") {
+    stripes_[threadStripe(stripes_.size())].admitted.fetch_add(
+        1, std::memory_order_seq_cst);
+  }
+
+  void done() noexcept
+      TP_LOCK_FREE_AUDITED(
+          "seq_cst add on the caller's own stripe, then a seq_cst waiter "
+          "check: a waiter registered before its quiescence check sees "
+          "this done or gets the epoch bump; TSan: test_common "
+          "StripedLatch.SleepingWaiterWakesOnLastDone") {
+    stripes_[threadStripe(stripes_.size())].done.fetch_add(
+        1, std::memory_order_seq_cst);
+    if (waiters_.value.load(std::memory_order_seq_cst) != 0) {
+      epoch_.value.fetch_add(1, std::memory_order_seq_cst);
+      epoch_.value.notify_all();
+    }
+  }
+
+  /// True when, at one instant during the call, every admitted item was
+  /// done.
+  bool quiescent() const noexcept
+      TP_LOCK_FREE_AUDITED(
+          "seq_cst loads: every done stripe, then every admitted stripe "
+          "(see the class comment for the proof); TSan: test_common "
+          "StripedLatch.NeverQuiescentWhileAnItemIsInFlight") {
+    std::uint64_t done = 0;
+    for (const Stripe& s : stripes_) {
+      done += s.done.load(std::memory_order_seq_cst);
+    }
+    std::uint64_t admitted = 0;
+    for (const Stripe& s : stripes_) {
+      admitted += s.admitted.load(std::memory_order_seq_cst);
+    }
+    return done == admitted;
+  }
+
+  /// Block until quiescent() holds.
+  void wait() noexcept
+      TP_LOCK_FREE_AUDITED(
+          "registers as a waiter before each seq_cst epoch read and "
+          "quiescence check, so a done() the check missed bumps the epoch "
+          "it sleeps on; TSan: test_common "
+          "StripedLatch.SleepingWaiterWakesOnLastDone") {
+    waiters_.value.fetch_add(1, std::memory_order_seq_cst);
+    for (;;) {
+      const std::uint32_t epoch = epoch_.value.load(std::memory_order_seq_cst);
+      if (quiescent()) break;
+      epoch_.value.wait(epoch, std::memory_order_seq_cst);
+    }
+    waiters_.value.fetch_sub(1, std::memory_order_seq_cst);
+  }
+
+private:
+  struct alignas(kCacheLineBytes) Stripe {
+    std::atomic<std::uint64_t> admitted{0};
+    std::atomic<std::uint64_t> done{0};
+  };
+
+  std::vector<Stripe> stripes_;
+  CachePadded<std::atomic<std::uint32_t>> waiters_;
+  CachePadded<std::atomic<std::uint32_t>> epoch_;
+};
+
 }  // namespace tp::common

@@ -25,9 +25,20 @@ struct Pow10Table {
   /// least 1e-11 / ln(10) ~ 4e-12 from the nearest integer, far outside
   /// that error, so floor(log10(x)) must equal the bracket exponent.
   static constexpr double kWindow = 1e-11;
+  /// Largest digit count with an integer fast path: 10^15 < 2^53, so
+  /// every integer it admits, and every product with a power of ten the
+  /// formula forms from it, is an exact double.
+  static constexpr int kMaxIntegerDigits = 15;
 
   double pow10[kMax - kMin + 1];
   int exactExponent[kMax - kMin + 1];
+  /// integerLimit[d] = 10^d * (1 - kWindow). An exact integer v with
+  /// |v| below it has floor(log10|v|) <= d - 1 by the kWindow argument,
+  /// so the formula scales it by an exact 10^k (k >= 0) to an exact
+  /// integer, rounds nothing and divides back to v: the value is its own
+  /// rounding. Without the margin, log10(10^15 - 1) rounds up to 15 and
+  /// the formula returns 1e15.
+  double integerLimit[kMaxIntegerDigits + 1];
 
   Pow10Table() {
     for (int k = kMin; k <= kMax; ++k) {
@@ -37,6 +48,9 @@ struct Pow10Table {
           p > 0.0 && std::isfinite(p)
               ? static_cast<int>(std::floor(std::log10(p)))
               : 0;
+    }
+    for (int d = 0; d <= kMaxIntegerDigits; ++d) {
+      integerLimit[d] = at(d) * (1.0 - kWindow);
     }
   }
 
@@ -49,13 +63,16 @@ const Pow10Table& pow10Table() {
 }
 
 /// floor(log10(a)) for finite a > 0, bit-identical to the libm formula.
-double decimalExponent(double a, const Pow10Table& t) {
+int decimalExponent(double a, const Pow10Table& t) {
   // Subnormals are rare enough to take the libm path.
-  if (a < std::numeric_limits<double>::min()) return std::floor(std::log10(a));
-  // Estimate from the binary exponent, then settle it against the table.
+  if (a < std::numeric_limits<double>::min()) {
+    return static_cast<int>(std::floor(std::log10(a)));
+  }
+  // Estimate floor(binary * log10(2)) in fixed point (78913 / 2^18), then
+  // settle it against the table; the estimate only seeds the search.
   const int binary =
       static_cast<int>(std::bit_cast<std::uint64_t>(a) >> 52) - 1023;
-  int e = static_cast<int>(std::floor(binary * 0.30102999566398120));
+  int e = (binary * 78913) >> 18;
   while (a < t.at(e)) --e;
   while (a >= t.at(e + 1)) ++e;
   const double lo = t.at(e);
@@ -64,7 +81,18 @@ double decimalExponent(double a, const Pow10Table& t) {
       a < t.at(e + 1) * (1.0 - Pow10Table::kWindow)) {
     return e;
   }
-  return std::floor(std::log10(a));
+  return static_cast<int>(std::floor(std::log10(a)));
+}
+
+/// std::round (half away from zero) by integer truncation: x - trunc(x)
+/// is exact, and every double of magnitude >= 2^52 is already an integer.
+double roundHalfAway(double x) {
+  if (!(std::fabs(x) < 0x1p52)) return x;
+  auto t = static_cast<std::int64_t>(x);
+  const double frac = x - static_cast<double>(t);
+  if (frac >= 0.5) ++t;
+  if (frac <= -0.5) --t;
+  return static_cast<double>(t);
 }
 
 }  // namespace
@@ -74,16 +102,23 @@ double roundSignificant(double v, int digits) {
     return v == 0.0 ? 0.0 : v;
   }
   const Pow10Table& table = pow10Table();
-  const double exponent = decimalExponent(std::fabs(v), table);
-  const double k = static_cast<double>(digits - 1) - exponent;
+  // NDRange sizes, byte counts and most bound scalars are small exact
+  // integers that the formula returns unchanged (see integerLimit).
+  if (digits <= Pow10Table::kMaxIntegerDigits &&
+      std::fabs(v) < table.integerLimit[digits] &&
+      static_cast<double>(static_cast<std::int64_t>(v)) == v) {
+    return v;
+  }
+  const long k = static_cast<long>(digits) - 1 -
+                 decimalExponent(std::fabs(v), table);
   const double scale = k >= Pow10Table::kMin && k <= Pow10Table::kMax
                            ? table.at(static_cast<int>(k))
-                           : std::pow(10.0, k);
+                           : std::pow(10.0, static_cast<double>(k));
   // Near the double range limits (|v| ~ 1e±308) the scale or the product
   // can overflow; an unrounded key is still a valid, self-equal key,
   // whereas a NaN component would never equal itself.
   if (!std::isfinite(scale) || scale == 0.0) return v;
-  const double rounded = std::round(v * scale) / scale;
+  const double rounded = roundHalfAway(v * scale) / scale;
   if (!std::isfinite(rounded)) return v;
   return rounded == 0.0 ? 0.0 : rounded;
 }

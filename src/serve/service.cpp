@@ -378,20 +378,6 @@ common::ThreadPool& PartitionService::ensurePool() {
   return *pool_;
 }
 
-// seq_cst (deliberate, A1-explicit): the in-flight latch and the
-// accepting_ gate form a Dekker-style pair with drain()/shutdown() —
-// weaker orders would let a final decrement and the drain's load pass
-// each other and strand the waiter.
-void PartitionService::requestDone() noexcept
-    TP_LOCK_FREE_AUDITED(
-        "seq_cst completion latch: final decrement notifies drain()'s "
-        "seq_cst wait loop; TSan: test_serve "
-        "PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
-  if (inFlight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    inFlight_.notify_all();
-  }
-}
-
 bool PartitionService::tryServeInline(MachineState& ms,
                                       const LaunchRequest& request,
                                       LaunchResponse& response,
@@ -565,17 +551,18 @@ PartitionService::AdmitResult PartitionService::admitAndTryInline(
     LaunchRequest& request, LaunchResponse& response, PreDecision& carry,
     bool& inlineFault)
     TP_LOCK_FREE_AUDITED(
-        "seq_cst (deliberate, A1-explicit) increment-then-check against the "
-        "accepting_ gate: pairs with shutdown()'s store-then-drain so no "
-        "request slips past a closing service uncounted; TSan: test_serve "
-        "PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
+        "seq_cst (deliberate, A1-explicit) striped-latch admit, then a "
+        "seq_cst check of the accepting_ gate: pairs with shutdown()'s "
+        "store-then-drain so no request slips past a closing service "
+        "uncounted; TSan: test_serve "
+        "PartitionService.ShutdownRacesDrainLoopAndMixedTraffic") {
   // Resolve + lifecycle-check before counting the request, mirroring the
   // queue-era semantics: unknown machines and post-shutdown submissions
   // throw and are never counted as submitted.
   MachineState& ms = state(request.machine);
-  inFlight_.fetch_add(1, std::memory_order_seq_cst);
+  inFlight_.admit();
   if (!accepting_.load(std::memory_order_seq_cst)) {
-    requestDone();
+    inFlight_.done();
     throw Error("PartitionService: submit after shutdown");
   }
   submitted_.add();
@@ -591,7 +578,7 @@ PartitionService::AdmitResult PartitionService::admitAndTryInline(
       response = LaunchResponse{};
       response.shed = true;
       response.modelVersion = cache_->version();
-      requestDone();
+      inFlight_.done();
       return AdmitResult{&ms, true};
     }
   }
@@ -600,11 +587,11 @@ PartitionService::AdmitResult PartitionService::admitAndTryInline(
     served = tryServeInline(ms, request, response, carry);
   } catch (...) {
     failed_.add();
-    requestDone();
+    inFlight_.done();
     inlineFault = true;
     throw;
   }
-  if (served) requestDone();
+  if (served) inFlight_.done();
   return AdmitResult{&ms, served};
 }
 
@@ -789,7 +776,7 @@ void PartitionService::process(MachineState& ms, std::size_t lane,
     completed_.add();
     pending.promise.set_value(std::move(response));
   }
-  requestDone();
+  inFlight_.done();
 }
 
 std::size_t PartitionService::predictLabel(const std::string& machine,
@@ -1009,17 +996,7 @@ runtime::FeatureDatabase PartitionService::trafficSnapshot() const {
   return feedback->snapshot();
 }
 
-void PartitionService::drain()
-    TP_LOCK_FREE_AUDITED(
-        "seq_cst (deliberate, A1-explicit) wait loop on the in-flight "
-        "latch, pairing with requestDone()'s decrement+notify; TSan: "
-        "test_serve PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
-  for (;;) {
-    const std::uint64_t v = inFlight_.load(std::memory_order_seq_cst);
-    if (v == 0) return;
-    inFlight_.wait(v, std::memory_order_seq_cst);
-  }
-}
+void PartitionService::drain() { inFlight_.wait(); }
 
 void PartitionService::shutdown() {
   accepting_.store(false, std::memory_order_seq_cst);

@@ -406,7 +406,6 @@ private:
   void finishDecided(MachineState& ms, runtime::Scheduler& lane,
                      const runtime::Task& task, LaunchResponse& response,
                      const PreDecision& decision);
-  void requestDone() noexcept;
 
   ServiceConfig config_;
   std::unique_ptr<common::PairInterner> interner_;
@@ -425,7 +424,7 @@ private:
   std::atomic<bool> frozen_{false};
 
   std::atomic<bool> accepting_{true};
-  std::atomic<std::uint64_t> inFlight_{0};  ///< atomic-wait on 0 in drain()
+  common::StripedLatch inFlight_;  ///< admitted vs answered; drain() waits
   /// Set once mergeRemoteWins() has written remote incumbents through
   /// into the cache: such keys can be served warm without ever having
   /// missed locally, so from then on cache hits also run the feedback

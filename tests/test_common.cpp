@@ -1,11 +1,14 @@
 // Unit tests for tp_common: RNG determinism and distributions, statistics,
 // CSV round-trips, string utilities, thread pool behaviour, the shared
-// FNV key-hash helpers (collision sanity), and wire serialization.
+// FNV key-hash helpers (collision sanity), wire serialization, and the
+// striped in-flight latch.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -22,6 +25,7 @@
 #include "common/serial.hpp"
 #include "common/stats.hpp"
 #include "common/str.hpp"
+#include "common/striped.hpp"
 #include "common/thread_pool.hpp"
 
 namespace tp::common {
@@ -609,6 +613,86 @@ TEST(InternerTest, ConcurrentReadersAtCapacity) {
   EXPECT_EQ(interner.size(), kCapacity);
   EXPECT_EQ(interner.fullRejections(),
             static_cast<std::uint64_t>(2 * kAttemptsPerWriter));
+}
+
+// ---- striped in-flight latch -----------------------------------------------
+
+TEST(StripedLatch, AdmitOnOneThreadDoneOnAnother) {
+  // Queued requests are admitted on the client thread and answered on a
+  // lane worker: the two counts land on different stripes.
+  StripedLatch latch;
+  EXPECT_TRUE(latch.quiescent());
+  latch.admit();
+  latch.admit();
+  EXPECT_FALSE(latch.quiescent());
+  std::thread([&] { latch.done(); }).join();
+  EXPECT_FALSE(latch.quiescent());
+  std::thread([&] { latch.done(); }).join();
+  EXPECT_TRUE(latch.quiescent());
+  latch.wait();  // already quiescent: returns at once
+}
+
+TEST(StripedLatch, NeverQuiescentWhileAnItemIsInFlight) {
+  // One item stays in flight while workers churn admit/done pairs across
+  // their stripes, some finishing each other's items through a shared
+  // hand-off counter. A checker summing stripes mid-churn must never see
+  // equal sums while the pinned item is outstanding.
+  StripedLatch latch;
+  latch.admit();  // the pinned item
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> handedOff{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 3; ++w) {
+    workers.emplace_back([&, w] {
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        latch.admit();
+        if ((i + w) % 2 == 0) {
+          latch.done();
+        } else {
+          handedOff.fetch_add(1, std::memory_order_acq_rel);
+        }
+        // Finish some other thread's item (never more than were handed off).
+        std::int64_t pending = handedOff.load(std::memory_order_acquire);
+        while (pending > 0 && !handedOff.compare_exchange_weak(
+                                  pending, pending - 1,
+                                  std::memory_order_acq_rel)) {
+        }
+        if (pending > 0) latch.done();
+      }
+    });
+  }
+  std::size_t checks = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_FALSE(latch.quiescent()) << "after " << checks << " checks";
+    ++checks;
+  }
+  stop.store(true);
+  for (auto& t : workers) t.join();
+  for (std::int64_t n = handedOff.load(); n > 0; --n) latch.done();
+  EXPECT_FALSE(latch.quiescent());
+  latch.done();  // the pinned item
+  EXPECT_TRUE(latch.quiescent());
+  EXPECT_GT(checks, 0u);
+}
+
+TEST(StripedLatch, SleepingWaiterWakesOnLastDone) {
+  StripedLatch latch;
+  latch.admit();
+  latch.admit();
+  auto waiter = std::async(std::launch::async, [&] { latch.wait(); });
+  // Give the waiter time to register and block on the epoch word.
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  std::thread([&] { latch.done(); }).join();
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  std::thread([&] { latch.done(); }).join();  // the last done
+  ASSERT_EQ(waiter.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  waiter.get();
+  EXPECT_TRUE(latch.quiescent());
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <string>
 #include <thread>
 
 #include "common/intern.hpp"
@@ -668,6 +670,84 @@ TEST(PartitionService, ShutdownDrainsAndRejectsNewWork) {
   fx.service->shutdown();  // idempotent
   const auto stats = fx.service->stats();
   EXPECT_EQ(stats.requestsCompleted, 20u);
+}
+
+TEST(PartitionService, ShutdownRacesDrainLoopAndMixedTraffic) {
+  // Callers mix warm hits (served inline on their own thread) with queued
+  // misses (fresh sizes, answered by lane workers) while another thread
+  // loops drain(); shutdown() then closes the gate mid-traffic. Every
+  // submit either throws "submit after shutdown" or returns a future that
+  // is already answered once shutdown() has returned.
+  ServiceConfig config;
+  config.lanesPerMachine = 2;
+  ServiceFixture fx(config);
+  for (std::size_t t = 0; t < fx.tasks.size(); ++t) {
+    (void)fx.service->call(fx.request(t));  // warm every fixture launch
+  }
+
+  constexpr std::size_t kCallers = 3;
+  std::atomic<bool> closed{false};
+  std::atomic<std::uint64_t> admitted{0};
+  std::atomic<std::uint64_t> rejected{0};
+  std::atomic<std::uint64_t> unanswered{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::atomic<std::uint64_t> drains{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<std::future<LaunchResponse>> futures;
+      for (std::size_t i = 0;; ++i) {
+        LaunchRequest request = fx.request(c + i);
+        if (i % 4 == 3) {
+          // A size no fixture launch has: a miss the first time round.
+          request.task =
+              makeScaleTask(4096 + 64 * ((kCallers * i + c) % 2048), 10);
+        }
+        try {
+          futures.push_back(fx.service->submit(std::move(request)));
+        } catch (const Error& e) {
+          if (std::string(e.what()).find("submit after shutdown") ==
+              std::string::npos) {
+            bad.fetch_add(1);
+          }
+          rejected.fetch_add(1);
+          break;
+        }
+      }
+      while (!closed.load()) std::this_thread::yield();
+      for (auto& f : futures) {
+        if (f.wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready) {
+          unanswered.fetch_add(1);
+        } else if (!(f.get().execution.makespan > 0.0)) {
+          bad.fetch_add(1);
+        }
+      }
+      admitted.fetch_add(futures.size());
+    });
+  }
+  std::thread drainer([&] {
+    while (!closed.load()) {
+      fx.service->drain();
+      drains.fetch_add(1);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  fx.service->shutdown();
+  closed.store(true);
+  for (auto& c : callers) c.join();
+  drainer.join();
+
+  EXPECT_EQ(unanswered.load(), 0u);
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(rejected.load(), kCallers);
+  EXPECT_GT(drains.load(), 0u);
+  const auto stats = fx.service->stats();
+  EXPECT_EQ(stats.requestsSubmitted, admitted.load() + fx.tasks.size());
+  EXPECT_EQ(stats.requestsCompleted, stats.requestsSubmitted);
+  EXPECT_EQ(stats.requestsFailed, 0u);
+  EXPECT_GT(stats.requestsInline, 0u);
+  EXPECT_GT(stats.batches, 0u);
 }
 
 TEST(PartitionService, RejectsUnknownMachineAndBadConfig) {

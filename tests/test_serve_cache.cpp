@@ -6,10 +6,14 @@
 // correct behavior across model-version bumps. The concurrent phases run
 // under ThreadSanitizer in CI (this suite matches the tsan preset
 // filter), exercising the hit path under contention: hits perform no
-// heap allocation and acquire no lock, so TSan sees only atomics.
+// heap allocation and acquire no lock, so TSan sees only atomics. The
+// key layer beneath it is pinned too: roundSignificant() against the libm
+// formula bit for bit, and the fingerprint fold's collision, avalanche
+// and bucket-uniformity quality.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -17,6 +21,7 @@
 #include <cstdlib>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/intern.hpp"
@@ -119,6 +124,209 @@ TEST(RoundSignificantDifferential, MatchesLibmFormulaAroundPowersOfTen) {
     }
   }
   EXPECT_GT(checked, 100'000u);
+}
+
+TEST(RoundSignificantDifferential, MatchesLibmFormulaOnIntegerValues) {
+  // The integer fast path returns exact integers below
+  // 10^digits * (1 - window) unchanged; everything else takes the general
+  // path. Sweep both sides of every boundary it draws.
+  std::size_t checked = 0;
+  for (int v = 1; v <= 100000; ++v) {
+    expectSameRounding(static_cast<double>(v), &checked);
+  }
+  for (int d = 1; d <= 17; ++d) {
+    const double p = std::pow(10.0, static_cast<double>(d));
+    // 10^d - 1 (at digits = 15 the formula's log10 rounds
+    // 999999999999999 up to 15 and the result becomes 1e15) and the
+    // integers around the fast path's limit.
+    for (double j = 1.0; j <= 4.0; ++j) {
+      expectSameRounding(p - j, &checked);
+      expectSameRounding(p + j, &checked);
+    }
+    const double limit = std::floor(p * (1.0 - 1e-11));
+    for (double j = -3.0; j <= 3.0; ++j) {
+      expectSameRounding(limit + j, &checked);
+    }
+    // 10^d * (1 +- a few ULP): integers up to 2^53, fractions above.
+    double below = p;
+    double above = p;
+    for (int ulp = 0; ulp < 4; ++ulp) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, HUGE_VAL);
+      expectSameRounding(below, &checked);
+      expectSameRounding(above, &checked);
+    }
+  }
+  // Integers at the edge of exact double representation.
+  for (const double base : {0x1p52, 0x1p53}) {
+    for (double j = -8.0; j <= 8.0; ++j) {
+      expectSameRounding(base + j, &checked);
+    }
+  }
+  // Fractional values launch signatures carry (transfer scales, bound
+  // float parameters), and exact halves, which round away from zero.
+  for (const double v : {13107.2, 0.1, 0.2, 0.25, 0.5, 1.5, 2.5, 0.75,
+                         3.3333333333333335, 1e-3, 65536.5, 99999.5,
+                         999999.5, 4503599627370495.5}) {
+    expectSameRounding(v, &checked);
+  }
+  common::Rng rng(0x1A7E6E5u);
+  for (int i = 0; i < 20000; ++i) {
+    const auto n = static_cast<double>(rng.below(1ull << 50));
+    expectSameRounding(n + 0.5, &checked);
+    expectSameRounding(n / 8.0, &checked);
+  }
+  EXPECT_GT(checked, 3'000'000u);
+}
+
+// ---- fingerprint quality ---------------------------------------------------
+
+/// A launch-signature-shaped vector: global/local size, bytes in/out,
+/// transfer scale and two bound scalars.
+std::vector<double> randomSignature(common::Rng& rng) {
+  const auto n = static_cast<double>(1ull << rng.below(24)) *
+                 static_cast<double>(1 + rng.below(16));
+  return {n,
+          static_cast<double>(1ull << rng.below(9)),
+          4.0 * n * static_cast<double>(1 + rng.below(3)),
+          4.0 * n,
+          rng.below(4) == 0 ? rng.uniform(0.5, 4.0) : 1.0,
+          static_cast<double>(rng.below(4096)),
+          static_cast<double>(rng.below(8))};
+}
+
+/// Variant `v` of `base`: v == 0 is the base itself; then, per component,
+/// +-1 ULP and +-1; then every adjacent swap.
+std::vector<double> perturbed(std::vector<double> sig, std::size_t v) {
+  const std::size_t n = sig.size();
+  if (v == 0) return sig;
+  --v;
+  if (v < 4 * n) {
+    double& x = sig[v / 4];
+    switch (v % 4) {
+      case 0: x = std::nextafter(x, HUGE_VAL); break;
+      case 1: x = std::nextafter(x, -HUGE_VAL); break;
+      case 2: x += 1.0; break;
+      default: x -= 1.0; break;
+    }
+    return sig;
+  }
+  v -= 4 * n;
+  std::swap(sig[v], sig[v + 1]);
+  return sig;
+}
+
+TEST(FingerprintQuality, NoCollisionOverPerturbedLaunchSignatures) {
+  // Neighbouring signatures (one ULP, one unit, two components swapped)
+  // are the inputs a weak fold would confuse. Demand zero collisions in
+  // the full 128 bits and in each half, over > 1M distinct signatures.
+  constexpr std::size_t kBases = 30000;
+  constexpr std::size_t kVariants = 1 + 4 * 7 + 6;
+  struct Entry {
+    common::Fingerprint fp;
+    std::uint32_t base;
+    std::uint32_t variant;
+  };
+  std::vector<std::vector<double>> bases;
+  common::Rng rng(0xF1A6E5u);
+  for (std::size_t b = 0; b < kBases; ++b) bases.push_back(randomSignature(rng));
+  std::vector<Entry> entries;
+  entries.reserve(kBases * kVariants);
+  for (std::size_t b = 0; b < kBases; ++b) {
+    const auto pairId = static_cast<std::uint32_t>(b % 5);
+    for (std::size_t v = 0; v < kVariants; ++v) {
+      entries.push_back({launchFingerprint(pairId, perturbed(bases[b], v)),
+                         static_cast<std::uint32_t>(b),
+                         static_cast<std::uint32_t>(v)});
+    }
+  }
+  const auto sameInput = [&](const Entry& x, const Entry& y) {
+    return x.base % 5 == y.base % 5 &&
+           perturbed(bases[x.base], x.variant) ==
+               perturbed(bases[y.base], y.variant);
+  };
+  // Sort by one word, then count neighbours that share it but not the
+  // input (a swap of equal components or a repeated base is the same
+  // input, not a collision).
+  const auto collisions = [&](auto word) {
+    std::sort(entries.begin(), entries.end(),
+              [&](const Entry& x, const Entry& y) { return word(x) < word(y); });
+    std::size_t found = 0;
+    std::size_t distinct = entries.empty() ? 0 : 1;
+    for (std::size_t i = 1; i < entries.size(); ++i) {
+      if (word(entries[i]) != word(entries[i - 1])) {
+        ++distinct;
+      } else if (!sameInput(entries[i], entries[i - 1])) {
+        ++found;
+      }
+    }
+    return std::pair{found, distinct};
+  };
+  const auto [loCollisions, loDistinct] =
+      collisions([](const Entry& e) { return e.fp.lo; });
+  const auto [hiCollisions, hiDistinct] =
+      collisions([](const Entry& e) { return e.fp.hi; });
+  EXPECT_EQ(loCollisions, 0u);
+  EXPECT_EQ(hiCollisions, 0u);
+  EXPECT_EQ(loDistinct, hiDistinct);
+  EXPECT_GT(loDistinct, 1'000'000u);
+}
+
+TEST(FingerprintQuality, EverySingleBitFlipChangesBothHalves) {
+  common::Rng rng(0xB17F11Bu);
+  std::size_t flips = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint64_t> words(1 + rng.below(8));
+    for (auto& w : words) w = rng.below(4) == 0 ? rng.below(16) : rng();
+    const auto fold = [](const std::vector<std::uint64_t>& ws) {
+      common::FingerprintBuilder fb;
+      for (const std::uint64_t w : ws) fb.u64(w);
+      return fb.take();
+    };
+    const common::Fingerprint base = fold(words);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      for (int bit = 0; bit < 64; ++bit) {
+        words[i] ^= 1ull << bit;
+        const common::Fingerprint flipped = fold(words);
+        words[i] ^= 1ull << bit;
+        ASSERT_NE(flipped.lo, base.lo) << "word " << i << " bit " << bit;
+        ASSERT_NE(flipped.hi, base.hi) << "word " << i << " bit " << bit;
+        ++flips;
+      }
+    }
+  }
+  EXPECT_GT(flips, 50'000u);
+}
+
+TEST(FingerprintQuality, MaskedLowWordFillsBucketsUniformly) {
+  // The decision cache masks fp.lo to pick a home slot. Dense, regular
+  // signatures (consecutive sizes, powers of two) must still spread
+  // evenly: a chi-square statistic far above its degrees of freedom
+  // would mean clustered probes.
+  constexpr std::size_t kKeys = 1u << 18;
+  std::vector<common::Fingerprint> fps;
+  fps.reserve(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const auto pairId = static_cast<std::uint32_t>(i % 3);
+    const double n = static_cast<double>(64 * (1 + i / 3));
+    fps.push_back(launchFingerprint(
+        pairId, {n, 64.0, 4.0 * n, 4.0 * n, 1.0,
+                 static_cast<double>(i % 7)}));
+  }
+  for (const std::size_t buckets : {64u, 1024u, 16384u}) {
+    std::vector<std::size_t> counts(buckets, 0);
+    for (const auto& fp : fps) ++counts[fp.lo & (buckets - 1)];
+    const double expected =
+        static_cast<double>(kKeys) / static_cast<double>(buckets);
+    double chi2 = 0.0;
+    for (const std::size_t c : counts) {
+      const double d = static_cast<double>(c) - expected;
+      chi2 += d * d / expected;
+    }
+    // Mean dof, sd sqrt(2 dof): six standard deviations of headroom.
+    const auto dof = static_cast<double>(buckets - 1);
+    EXPECT_LT(chi2, dof + 6.0 * std::sqrt(2.0 * dof)) << buckets << " buckets";
+  }
 }
 
 using ReferenceModel =
