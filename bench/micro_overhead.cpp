@@ -170,6 +170,21 @@ void BM_OracleSearch66(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleSearch66);
 
+// Suite set-up: make(n) for all 23 programs at every ladder size, no
+// execution — what the training sweep and perfbench pay before the first
+// measurement (the inputs of all 138 instances, built then dropped).
+void BM_SuiteInputs(benchmark::State& state) {
+  const auto& suite = suite::allBenchmarks();
+  for (auto _ : state) {
+    for (const auto& bench : suite) {
+      for (const std::size_t n : bench.sizes) {
+        benchmark::DoNotOptimize(bench.make(n));
+      }
+    }
+  }
+}
+BENCHMARK(BM_SuiteInputs)->Unit(benchmark::kMillisecond);
+
 void BM_KernelCompilation(benchmark::State& state) {
   const std::string source = suite::benchmarkByName("blackscholes").source();
   for (auto _ : state) {

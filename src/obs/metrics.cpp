@@ -86,8 +86,7 @@ void promPreamble(std::ostringstream& os, const std::string& metric,
 // ---------------------------------------------------------------------------
 // Histogram
 
-Histogram::Histogram(std::size_t stripes)
-    : stripes_(stripes == 0 ? common::defaultStripes() : stripes) {}
+Histogram::Histogram() : stripes_(common::defaultStripes()) {}
 
 void Histogram::record(std::uint64_t value) {
   Stripe& stripe = stripes_[common::threadStripe(stripes_.size())];
@@ -196,7 +195,7 @@ Gauge& Registry::gauge(const std::string& name) {
   return *entry.ownedGauge;
 }
 
-Histogram& Registry::histogram(const std::string& name, std::size_t stripes) {
+Histogram& Registry::histogram(const std::string& name) {
   requireValidName(name);
   common::MutexLock lock(mutex_);
   Entry& entry = entries_[name];
@@ -205,7 +204,7 @@ Histogram& Registry::histogram(const std::string& name, std::size_t stripes) {
                    !entry.gaugeFn && !entry.histogramFn && !entry.summaryFn,
                "Registry: '" << name
                              << "' is already registered as another kind");
-    entry.ownedHistogram = std::make_unique<Histogram>(stripes);
+    entry.ownedHistogram = std::make_unique<Histogram>();
   }
   return *entry.ownedHistogram;
 }

@@ -73,7 +73,7 @@ class Histogram {
 public:
   static constexpr std::size_t kBuckets = 65;
 
-  explicit Histogram(std::size_t stripes = 0);  ///< 0 = auto
+  Histogram();
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -147,8 +147,7 @@ public:
   common::StripedCounter& counter(const std::string& name)
       TP_EXCLUDES(mutex_);
   Gauge& gauge(const std::string& name) TP_EXCLUDES(mutex_);
-  Histogram& histogram(const std::string& name, std::size_t stripes = 0)
-      TP_EXCLUDES(mutex_);
+  Histogram& histogram(const std::string& name) TP_EXCLUDES(mutex_);
 
   /// External readouts, sampled at exposition time. Re-registering a
   /// name replaces its callback.

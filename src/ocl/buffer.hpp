@@ -7,8 +7,23 @@
 // view (view.hpp) of exactly the slice the partitioning assigned to it —
 // so a kernel that touches memory outside its assigned slice fails loudly
 // instead of silently reading another device's data.
+//
+// Contents are lazy. A buffer is a zero buffer or carries a replayable
+// generator; no storage exists until the first data()/at()/fill()/
+// toVector()/zero(), which allocates and fills it exactly once under
+// std::call_once (concurrent first touches see the same bytes and the
+// generator runs once). size()/bytes() never materialize, so TimeOnly
+// execution — which reads only sizes — never pays for contents.
+// initial<T>() replays the generator into a fresh vector: the buffer's
+// pre-execution contents, even after a kernel has written the buffer.
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -28,23 +43,36 @@ inline const char* elemKindName(ElemKind k) {
 
 class Buffer {
 public:
+  /// Writes a buffer's initial contents into exactly bytes() bytes. Must be
+  /// replayable: every call writes the same bytes.
+  using Generator = std::function<void(std::span<std::byte>)>;
+
+  /// Zero buffer.
   Buffer(ElemKind kind, std::size_t elements)
-      : kind_(kind), elements_(elements), storage_(elements * 4, std::byte{0}) {}
+      : kind_(kind), elements_(elements) {}
+
+  /// Buffer whose contents the generator writes on first read.
+  Buffer(ElemKind kind, std::size_t elements, Generator generator)
+      : kind_(kind), elements_(elements), generator_(std::move(generator)) {}
 
   ElemKind kind() const noexcept { return kind_; }
   std::size_t size() const noexcept { return elements_; }
-  std::size_t bytes() const noexcept { return storage_.size(); }
+  std::size_t bytes() const noexcept { return elements_ * 4; }
+
+  /// Whether storage exists yet. A plain read, not synchronized with a
+  /// concurrent first touch: for tests and single-threaded observers.
+  bool materialized() const noexcept { return storage_ != nullptr; }
 
   template <typename T>
   T* data() {
     checkType<T>();
-    return reinterpret_cast<T*>(storage_.data());
+    return reinterpret_cast<T*>(storage());
   }
 
   template <typename T>
   const T* data() const {
     checkType<T>();
-    return reinterpret_cast<const T*>(storage_.data());
+    return reinterpret_cast<const T*>(storage());
   }
 
   template <typename T>
@@ -64,17 +92,26 @@ public:
     TP_REQUIRE(values.size() == elements_,
                "Buffer::fill size mismatch: " << values.size() << " vs "
                                               << elements_);
-    checkType<T>();
     std::copy(values.begin(), values.end(), data<T>());
   }
 
   template <typename T>
   std::vector<T> toVector() const {
-    checkType<T>();
-    return std::vector<T>(data<T>(), data<T>() + elements_);
+    const T* begin = data<T>();
+    return std::vector<T>(begin, begin + elements_);
   }
 
-  void zero() { std::fill(storage_.begin(), storage_.end(), std::byte{0}); }
+  /// The contents before any execution: the generator replayed into a
+  /// fresh vector (zeros for a zero buffer). Never materializes.
+  template <typename T>
+  std::vector<T> initial() const {
+    checkType<T>();
+    std::vector<T> out(elements_);
+    if (generator_) generator_(std::as_writable_bytes(std::span<T>(out)));
+    return out;
+  }
+
+  void zero() { std::fill_n(storage(), bytes(), std::byte{0}); }
 
 private:
   template <typename T>
@@ -87,9 +124,27 @@ private:
                           << elemKindName(kind_));
   }
 
+  /// Allocates and fills the storage on first call; later calls only
+  /// return it. A throwing generator leaves the buffer unmaterialized.
+  std::byte* storage() const {
+    std::call_once(once_, [this] {
+      const std::size_t n = bytes();
+      if (!generator_) {
+        storage_ = std::make_unique<std::byte[]>(n);
+        return;
+      }
+      auto fresh = std::make_unique_for_overwrite<std::byte[]>(n);
+      generator_(std::span<std::byte>(fresh.get(), n));
+      storage_ = std::move(fresh);
+    });
+    return storage_.get();
+  }
+
   ElemKind kind_;
   std::size_t elements_;
-  std::vector<std::byte> storage_;
+  Generator generator_;
+  mutable std::once_flag once_;
+  mutable std::unique_ptr<std::byte[]> storage_;
 };
 
 }  // namespace tp::vcl

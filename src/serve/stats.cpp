@@ -7,11 +7,9 @@
 
 namespace tp::serve {
 
-LatencyRecorder::LatencyRecorder(std::size_t window, std::size_t stripes)
-    : window_(window) {
+LatencyRecorder::LatencyRecorder(std::size_t window)
+    : window_(window), stripes_(common::defaultStripes()) {
   TP_REQUIRE(window > 0, "LatencyRecorder: window must be > 0");
-  stripes_ =
-      std::vector<Stripe>(stripes == 0 ? common::defaultStripes() : stripes);
 }
 
 void LatencyRecorder::add(double seconds) {
@@ -56,11 +54,8 @@ LatencyRecorder::Summary LatencyRecorder::summary() const {
   return out;
 }
 
-MachineLoadStats::MachineLoadStats(std::size_t numDevices,
-                                   std::size_t stripes)
-    : numDevices_(numDevices) {
-  stripes_ =
-      std::vector<Stripe>(stripes == 0 ? common::defaultStripes() : stripes);
+MachineLoadStats::MachineLoadStats(std::size_t numDevices)
+    : numDevices_(numDevices), stripes_(common::defaultStripes()) {
   for (Stripe& s : stripes_) {
     s.deviceBusy = std::vector<std::atomic<double>>(numDevices_);
   }

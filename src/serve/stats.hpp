@@ -39,8 +39,7 @@ namespace tp::serve {
 /// keeps a bursty thread from evicting a quiet thread's tail latencies.
 class LatencyRecorder {
 public:
-  explicit LatencyRecorder(std::size_t window = 8192,
-                           std::size_t stripes = 0);  ///< 0 = auto
+  explicit LatencyRecorder(std::size_t window = 8192);
 
   void add(double seconds)
       TP_LOCK_FREE_AUDITED(
@@ -82,7 +81,7 @@ private:
 /// totals are exact once writers quiesce.
 class MachineLoadStats {
 public:
-  MachineLoadStats(std::size_t numDevices, std::size_t stripes = 0);
+  explicit MachineLoadStats(std::size_t numDevices);
 
   void record(double makespanSeconds,
               const std::vector<runtime::DeviceExecution>& devices) noexcept;

@@ -6,13 +6,18 @@
 // Every benchmark provides:
 //   - the OpenCL-C-subset kernel source, compiled once through the full
 //     pipeline (parse → verify → static features → access classification);
-//   - a factory that, for a given problem size, allocates deterministic
+//   - a factory that, for a given problem size, describes deterministic
 //     input data and produces a ready-to-run Task plus a verifier;
 //   - a ladder of problem sizes used by the training sweep (chosen to
 //     straddle the CPU/GPU crossover on the simulated machines).
 //
 // Instances are single-use: execute the Task once (Compute mode), then call
-// verify(); inputs are captured at creation for reference computation.
+// verify(). Inputs are generated on first read (vcl::Buffer's lazy
+// contents): make(n) only steps each input's RNG stream and records where
+// it started, TimeOnly execution reads sizes alone and never generates a
+// byte, and Compute mode materializes the inputs on first execute. verify()
+// replays the generators (Buffer::initial) for the reference computation,
+// so it sees the pre-execution inputs even of buffers a kernel overwrote.
 
 #include <functional>
 #include <string>

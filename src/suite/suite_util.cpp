@@ -1,5 +1,6 @@
 #include "suite/suite_util.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -19,22 +20,28 @@ std::uint64_t instanceSeed(const std::string& name, std::size_t n) {
 std::shared_ptr<vcl::Buffer> randomFloatBuffer(std::size_t n,
                                                common::Rng& rng, float lo,
                                                float hi) {
-  auto buf = std::make_shared<vcl::Buffer>(vcl::ElemKind::F32, n);
-  float* data = buf->data<float>();
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = static_cast<float>(rng.uniform(lo, hi));
-  }
-  return buf;
+  return generatedBuffer<float>(
+      vcl::ElemKind::F32, n, rng, [lo, hi](common::Rng& r, std::size_t) {
+        return static_cast<float>(r.uniform(lo, hi));
+      });
 }
 
 std::shared_ptr<vcl::Buffer> randomIntBuffer(std::size_t n, common::Rng& rng,
                                              int lo, int hi) {
-  auto buf = std::make_shared<vcl::Buffer>(vcl::ElemKind::I32, n);
-  int* data = buf->data<int>();
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = static_cast<int>(rng.range(lo, hi));
-  }
-  return buf;
+  return generatedBuffer<int>(
+      vcl::ElemKind::I32, n, rng, [lo, hi](common::Rng& r, std::size_t) {
+        return static_cast<int>(r.range(lo, hi));
+      });
+}
+
+std::shared_ptr<vcl::Buffer> intBufferOf(std::vector<int> values) {
+  const std::size_t n = values.size();
+  return std::make_shared<vcl::Buffer>(
+      vcl::ElemKind::I32, n,
+      [values = std::move(values)](std::span<std::byte> bytes) {
+        std::copy(values.begin(), values.end(),
+                  reinterpret_cast<int*>(bytes.data()));
+      });
 }
 
 std::shared_ptr<vcl::Buffer> zeroFloatBuffer(std::size_t n) {

@@ -2,8 +2,15 @@
 
 // Shared helpers for benchmark definitions: deterministic input generation
 // and result verification.
+//
+// Generated inputs are lazy (see vcl::Buffer): a factory records where its
+// RNG stream stood and steps the stream past the buffer's draws, and the
+// buffer replays those draws when something first reads its contents.
+// TimeOnly execution reads only sizes, so it never generates a byte.
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,12 +22,35 @@ namespace tp::suite {
 /// Deterministic per-benchmark seed derived from (name, problem size).
 std::uint64_t instanceSeed(const std::string& name, std::size_t n);
 
+/// A buffer whose element i is draw(rng, i), generated on first read. The
+/// generator replays a copy of `rng`; `rng` itself is advanced now through
+/// the same n draws (results discarded), so every later draw of the caller
+/// is exactly what it would be had the buffer been filled eagerly. `draw`
+/// must depend only on the generator state and the index.
+template <typename T, typename Draw>
+std::shared_ptr<vcl::Buffer> generatedBuffer(vcl::ElemKind kind, std::size_t n,
+                                             common::Rng& rng, Draw draw) {
+  const common::Rng start = rng;
+  for (std::size_t i = 0; i < n; ++i) static_cast<void>(draw(rng, i));
+  return std::make_shared<vcl::Buffer>(
+      kind, n, [start, n, draw](std::span<std::byte> bytes) {
+        TP_ASSERT(bytes.size() == n * sizeof(T));
+        common::Rng replay = start;
+        T* out = reinterpret_cast<T*>(bytes.data());
+        for (std::size_t i = 0; i < n; ++i) out[i] = draw(replay, i);
+      });
+}
+
+/// Uniform floats in [lo, hi) / uniform ints in [lo, hi], via
+/// generatedBuffer.
 std::shared_ptr<vcl::Buffer> randomFloatBuffer(std::size_t n,
                                                common::Rng& rng,
                                                float lo = -1.0f,
                                                float hi = 1.0f);
 std::shared_ptr<vcl::Buffer> randomIntBuffer(std::size_t n, common::Rng& rng,
                                              int lo, int hi);
+/// An int buffer holding `values` (the generator keeps them for replay).
+std::shared_ptr<vcl::Buffer> intBufferOf(std::vector<int> values);
 std::shared_ptr<vcl::Buffer> zeroFloatBuffer(std::size_t n);
 std::shared_ptr<vcl::Buffer> zeroIntBuffer(std::size_t n);
 std::shared_ptr<vcl::Buffer> zeroUIntBuffer(std::size_t n);

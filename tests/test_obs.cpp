@@ -241,7 +241,7 @@ TEST(Histogram, BucketBoundaries) {
 }
 
 TEST(Histogram, RecordAndQuantile) {
-  Histogram h(2);
+  Histogram h;
   for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);
   const auto snap = h.snapshot();
   EXPECT_EQ(snap.count, 1000u);
@@ -258,10 +258,10 @@ TEST(Histogram, MergeIsAssociativeAndCommutative) {
   // per-shard snapshots in any order/grouping equals one pooled count.
   constexpr int kShards = 4;
   std::vector<Histogram::Snapshot> parts(kShards);
-  Histogram pooled(1);
+  Histogram pooled;
   std::uint64_t state = 0x243F6A8885A308D3ull;
   for (int s = 0; s < kShards; ++s) {
-    Histogram h(1);
+    Histogram h;
     for (int i = 0; i < 500; ++i) {
       state = state * 6364136223846793005ull + 1442695040888963407ull;
       const std::uint64_t v = state >> (state % 50);
@@ -290,7 +290,7 @@ TEST(Histogram, MergeIsAssociativeAndCommutative) {
 }
 
 TEST(Histogram, ConcurrentRecordAndSnapshotAgree) {
-  Histogram h;  // auto stripes
+  Histogram h;
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 20000;
   std::atomic<bool> stop{false};

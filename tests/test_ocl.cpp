@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <span>
 #include <thread>
 
 #include "ocl/buffer.hpp"
@@ -42,6 +44,81 @@ TEST(Buffer, IntAndUnsignedKinds) {
   Buffer bu(ElemKind::U32, 2);
   bu.at<unsigned>(1) = 7u;
   EXPECT_EQ(bu.at<unsigned>(1), 7u);
+}
+
+TEST(Buffer, ZeroBufferMaterializesOnFirstRead) {
+  Buffer buf(ElemKind::F32, 4);
+  EXPECT_EQ(buf.bytes(), 16u);
+  EXPECT_FALSE(buf.materialized());
+  EXPECT_EQ(buf.initial<float>(), std::vector<float>(4, 0.0f));
+  EXPECT_FALSE(buf.materialized());
+  EXPECT_FLOAT_EQ(buf.at<float>(2), 0.0f);
+  EXPECT_TRUE(buf.materialized());
+}
+
+TEST(Buffer, GeneratorRunsOncePerMaterializationAndReplaysForInitial) {
+  int runs = 0;
+  Buffer buf(ElemKind::I32, 8, [&runs](std::span<std::byte> bytes) {
+    ++runs;
+    auto* out = reinterpret_cast<int*>(bytes.data());
+    for (int i = 0; i < 8; ++i) out[i] = 3 * i;
+  });
+  EXPECT_EQ(buf.bytes(), 32u);
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(buf.initial<int>()[5], 15);  // replay, not materialization
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(buf.materialized());
+
+  buf.at<int>(5) = -1;
+  EXPECT_TRUE(buf.materialized());
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(buf.toVector<int>()[5], -1);
+  buf.zero();
+  EXPECT_EQ(runs, 2);  // later reads never re-run the generator
+  EXPECT_EQ(buf.at<int>(3), 0);
+  EXPECT_EQ(buf.initial<int>()[5], 15);  // pre-write contents survive
+}
+
+// Several threads touch one lazy buffer for the first time at once: the
+// generator runs exactly once and every thread sees the same storage and
+// the same bytes. Runs under the tsan preset (test_ocl).
+TEST(Buffer, ConcurrentFirstTouchRunsGeneratorOnce) {
+  constexpr std::size_t kElems = 1u << 16;
+  constexpr int kThreads = 4;
+  std::atomic<int> runs{0};
+  Buffer buf(ElemKind::U32, kElems, [&runs](std::span<std::byte> bytes) {
+    runs.fetch_add(1, std::memory_order_relaxed);
+    auto* out = reinterpret_cast<unsigned*>(bytes.data());
+    for (std::size_t i = 0; i < kElems; ++i) {
+      out[i] = static_cast<unsigned>(i) * 2654435761u;
+    }
+  });
+  std::vector<unsigned> expected(kElems);
+  for (std::size_t i = 0; i < kElems; ++i) {
+    expected[i] = static_cast<unsigned>(i) * 2654435761u;
+  }
+
+  std::latch start(kThreads);
+  std::vector<const unsigned*> seen(kThreads, nullptr);
+  std::vector<std::vector<unsigned>> contents(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const unsigned* p = buf.data<unsigned>();
+      seen[static_cast<std::size_t>(t)] = p;
+      contents[static_cast<std::size_t>(t)].assign(p, p + kElems);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_TRUE(buf.materialized());
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
+    EXPECT_EQ(contents[static_cast<std::size_t>(t)], expected)
+        << "thread " << t;
+  }
 }
 
 TEST(BufferView, AbsoluteIndexingWithinSlice) {

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "common/hash.hpp"
+#include "runtime/evaluation.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "suite/benchmark.hpp"
@@ -130,6 +134,136 @@ TEST(Suite, RuntimeFeaturesChangeWithProblemSize) {
     const auto fl = features::runtimeFeatureVector(large.task.features,
                                                    large.task.launchInfo());
     EXPECT_NE(fs, fl) << b.name;
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Lazy inputs: generated buffers materialize on first read, and a replay of
+// the generator (initial<T>()) is what verify() checks against.
+// ---------------------------------------------------------------------------
+
+// FNV-1a over a buffer's materialized contents, one 4-byte element per
+// step (a quarter of the byte-wise steps; the digest runs in the sanitizer
+// presets too).
+template <typename T>
+std::uint64_t foldElements(std::uint64_t h, const vcl::Buffer& b) {
+  const T* p = b.data<T>();
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    h ^= std::bit_cast<std::uint32_t>(p[i]);
+    h *= common::kFnvPrime;
+  }
+  return h;
+}
+
+std::uint64_t foldContents(std::uint64_t h, const vcl::Buffer& b) {
+  switch (b.kind()) {
+    case vcl::ElemKind::F32: return foldElements<float>(h, b);
+    case vcl::ElemKind::I32: return foldElements<int>(h, b);
+    case vcl::ElemKind::U32: return foldElements<unsigned>(h, b);
+  }
+  return h;
+}
+
+// Input-content golden digest: FNV-1a over every buffer of every program
+// at every ladder size, as make(n) leaves it before any execution (kind,
+// element count, then the materialized contents, in argument order). Pins
+// the generated inputs bit for bit, so a change to how inputs are produced
+// (draw order, RNG stepping, lazy replay) cannot silently change what the
+// suite computes on. Recorded from the eager generator that lazy
+// generation replaced.
+constexpr std::size_t kGoldenBuffers = 456;
+constexpr std::size_t kGoldenElements = 292929961;
+constexpr std::uint64_t kGoldenDigest = 0xc89ae71b2c9b383dull;
+
+TEST(SuiteGolden, InputContentsAreBitIdentical) {
+  std::uint64_t digest = common::kFnvOffset;
+  std::size_t buffers = 0;
+  std::size_t elements = 0;
+  for (const auto& bench : allBenchmarks()) {
+    for (const std::size_t n : bench.sizes) {
+      const BenchmarkInstance inst = bench.make(n);
+      for (const auto& arg : inst.task.args) {
+        const auto* b = std::get_if<runtime::BufferArg>(&arg);
+        if (b == nullptr) continue;
+        const vcl::Buffer& buf = *b->buffer;
+        digest =
+            common::fnvU64(digest, static_cast<std::uint64_t>(buf.kind()));
+        digest = common::fnvU64(digest, buf.size());
+        digest = foldContents(digest, buf);
+        ++buffers;
+        elements += buf.size();
+      }
+    }
+  }
+  EXPECT_EQ(buffers, kGoldenBuffers);
+  EXPECT_EQ(elements, kGoldenElements);
+  EXPECT_EQ(digest, kGoldenDigest) << std::hex << digest;
+}
+
+// initial<T>() is the pre-execution contents for every buffer of every
+// program, and stays so after a Compute-mode execute wrote a buffer in
+// place (saxpy's y = alpha * x + y).
+TEST(SuiteLazyInputs, InitialEqualsMaterializedContents) {
+  for (const auto& bench : allBenchmarks()) {
+    const BenchmarkInstance inst = bench.make(bench.sizes.front());
+    for (const auto& arg : inst.task.args) {
+      const auto* b = std::get_if<runtime::BufferArg>(&arg);
+      if (b == nullptr) continue;
+      const vcl::Buffer& buf = *b->buffer;
+      switch (buf.kind()) {
+        case vcl::ElemKind::F32:
+          EXPECT_EQ(buf.initial<float>(), buf.toVector<float>()) << bench.name;
+          break;
+        case vcl::ElemKind::I32:
+          EXPECT_EQ(buf.initial<int>(), buf.toVector<int>()) << bench.name;
+          break;
+        case vcl::ElemKind::U32:
+          EXPECT_EQ(buf.initial<unsigned>(), buf.toVector<unsigned>())
+              << bench.name;
+          break;
+      }
+    }
+  }
+}
+
+TEST(SuiteLazyInputs, InitialSurvivesAnInPlaceWrite) {
+  const Benchmark& bench = benchmarkByName("saxpy");
+  BenchmarkInstance inst = bench.make(bench.sizes.front());
+  const auto& y = std::get<runtime::BufferArg>(inst.task.args[1]).buffer;
+  const std::vector<float> before = y->toVector<float>();
+  ASSERT_EQ(y->initial<float>(), before);
+
+  vcl::Context ctx(sim::makeMc1(), vcl::ExecMode::Compute);
+  runtime::Scheduler scheduler(ctx);
+  scheduler.execute(inst.task, runtime::Partitioning{{5, 5, 0}, 10});
+  std::string error;
+  ASSERT_TRUE(inst.verify(&error)) << error;
+
+  EXPECT_NE(y->toVector<float>(), before);  // the kernel wrote y
+  EXPECT_EQ(y->initial<float>(), before);
+}
+
+// Laziness contract: building an instance and sweeping it TimeOnly on both
+// evaluation machines (the training pattern) reads only sizes, so no buffer
+// may materialize. A factory that reads its data eagerly fails here. Every
+// size runs the same factory code, so the two ends of each ladder suffice.
+TEST(SuiteLazyInputs, TimeOnlySweepNeverMaterializes) {
+  const auto machines = sim::evaluationMachines();
+  const runtime::PartitioningSpace space(3, 10);
+  for (const auto& bench : allBenchmarks()) {
+    for (const std::size_t n : {bench.sizes.front(), bench.sizes.back()}) {
+      const BenchmarkInstance inst = bench.make(n);
+      for (const auto& machine : machines) {
+        runtime::measureLaunch(inst.task, machine, space, std::to_string(n));
+      }
+      for (std::size_t a = 0; a < inst.task.args.size(); ++a) {
+        const auto* b = std::get_if<runtime::BufferArg>(&inst.task.args[a]);
+        if (b == nullptr) continue;
+        EXPECT_FALSE(b->buffer->materialized())
+            << bench.name << " n=" << n << " argument " << a;
+      }
+    }
   }
 }
 
