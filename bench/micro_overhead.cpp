@@ -7,11 +7,13 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "common/striped.hpp"
 #include "features/runtime_features.hpp"
 #include "ml/classifier.hpp"
@@ -56,6 +58,35 @@ Fixture& fixture() {
   static Fixture f;
   return f;
 }
+
+// common::Rng::discard(k): set-up jumps each float input's draws instead of
+// stepping them. The timed loop is warm. The process's first jump past the
+// stepping range also builds the 512 KB table of transition-matrix powers;
+// `cold_first_jump_us` times that call (a 2^32 jump). It is cold because
+// this benchmark is registered first and nothing earlier in the process
+// jumps.
+void BM_RngDiscard(benchmark::State& state) {
+  static const double coldFirstJumpUs = [] {
+    common::Rng rng(1);
+    const auto start = std::chrono::steady_clock::now();
+    rng.discard(std::uint64_t{1} << 32);
+    benchmark::DoNotOptimize(rng);
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  }();
+  const auto k = static_cast<std::uint64_t>(state.range(0));
+  common::Rng rng(2);
+  for (auto _ : state) {
+    rng.discard(k);
+    benchmark::DoNotOptimize(rng);
+  }
+  state.counters["cold_first_jump_us"] = coldFirstJumpUs;
+}
+BENCHMARK(BM_RngDiscard)
+    ->Arg(1)
+    ->Arg(std::int64_t{1} << 20)
+    ->Arg(std::int64_t{1} << 32);
 
 void BM_FeatureVector(benchmark::State& state) {
   auto& f = fixture();

@@ -6,6 +6,11 @@
 // workload data, noise injection) draws from tp::common::Rng so that runs
 // are reproducible bit-for-bit from a seed. The generator is xoshiro256**,
 // which is fast, has 256-bit state and passes BigCrush.
+//
+// Its state transition is linear over GF(2), so discard(k) jumps k steps
+// ahead in O(log k) matrix-vector products (Haramoto et al., "Efficient
+// jump ahead for F2-linear random number generators", 2008) instead of
+// stepping k times.
 
 #include <array>
 #include <cmath>
@@ -50,6 +55,15 @@ public:
     return result;
   }
 
+  /// Advance the state exactly k steps, as k calls of operator() would,
+  /// without producing the outputs. Small k steps; larger k applies one
+  /// precomputed power T^(2^j) of the 256x256 bit transition matrix per
+  /// set bit of k. The 64 powers (512 KB) are built once per process, on
+  /// the first large jump (rng.cpp).
+  void discard(std::uint64_t k);
+
+  friend bool operator==(const Rng&, const Rng&) = default;
+
   /// Uniform double in [0, 1).
   double uniform() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -76,11 +90,15 @@ public:
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive. Any span, up to the full
+  /// int64 range, which takes one raw draw.
   std::int64_t range(std::int64_t lo, std::int64_t hi) {
     TP_ASSERT(lo <= hi);
-    return lo + static_cast<std::int64_t>(
-                    below(static_cast<std::uint64_t>(hi - lo) + 1));
+    // Unsigned arithmetic: hi - lo overflows int64 for spans over INT64_MAX.
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    const std::uint64_t offset = span == max() ? (*this)() : below(span + 1);
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + offset);
   }
 
   /// Standard normal via Box-Muller.
@@ -108,6 +126,8 @@ public:
   Rng split() { return Rng((*this)()); }
 
 private:
+  struct JumpTable;  // rng.cpp: the powers T^(2^j) used by discard()
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

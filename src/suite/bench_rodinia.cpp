@@ -2,6 +2,7 @@
 // bfs (frontier expansion), kmeans (assignment step).
 
 #include <cmath>
+#include <utility>
 
 #include "suite/benchmark.hpp"
 #include "suite/suite_util.hpp"
@@ -377,7 +378,7 @@ __kernel void pathfinder(__global const int* wall, __global const int* src,
   bench.make = [compiled](std::size_t n) {
     common::Rng rng(instanceSeed("pathfinder", n));
     auto wall = randomIntBuffer(n, rng, 0, 9);
-    auto srcRow = randomIntBuffer(n, rng, 0, 100);
+    auto srcRow = randomIntBuffer(n, std::move(rng), 0, 100);
     auto dst = zeroIntBuffer(n);
 
     BenchmarkInstance inst;
@@ -457,7 +458,8 @@ __kernel void bfs(__global const int* rowptr, __global const int* cols,
     const auto edges = static_cast<std::size_t>(rowptrV[n]);
     auto rowptr = intBufferOf(std::move(rowptrV));
     auto cols = randomIntBuffer(edges, rng, 0, static_cast<int>(n) - 1);
-    auto frontier = randomIntBuffer(n, rng, 0, 3);  // level ∈ {0..3}
+    auto frontier =
+        randomIntBuffer(n, std::move(rng), 0, 3);  // level ∈ {0..3}
     auto touched = zeroIntBuffer(n);
     const int level = 1;
 

@@ -2,6 +2,7 @@
 // sortrank (enumeration sort), fftstage (radix-2 butterfly).
 
 #include <cmath>
+#include <utility>
 
 #include "suite/benchmark.hpp"
 #include "suite/suite_util.hpp"
@@ -248,7 +249,7 @@ __kernel void md(__global const float* px, __global const float* py,
     // Neighbor lists never contain the particle itself (self-interaction
     // would divide by r² = 0).
     auto neigh = generatedBuffer<int>(
-        vcl::ElemKind::I32, n * kMaxNeigh, rng,
+        vcl::ElemKind::I32, n * kMaxNeigh, std::move(rng),
         [n](common::Rng& r, std::size_t slot) {
           const auto offset =
               static_cast<std::size_t>(r.range(1, static_cast<int>(n) - 1));

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "suite/benchmark.hpp"
 #include "suite/suite_util.hpp"
@@ -623,7 +624,7 @@ __kernel void histogram(__global const int* data, __global int* bins,
   const CompiledKernel compiled = bench.compiled;
   bench.make = [compiled](std::size_t n) {
     common::Rng rng(instanceSeed("histogram", n));
-    auto data = randomIntBuffer(n, rng, 0, 1 << 20);
+    auto data = randomIntBuffer(n, std::move(rng), 0, 1 << 20);
     auto bins = zeroIntBuffer(kBins);
 
     BenchmarkInstance inst;

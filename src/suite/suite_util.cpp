@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 namespace tp::suite {
 
@@ -26,12 +27,26 @@ std::shared_ptr<vcl::Buffer> randomFloatBuffer(std::size_t n,
       });
 }
 
+namespace {
+
+auto intDraw(int lo, int hi) {
+  return [lo, hi](common::Rng& r, std::size_t) {
+    return static_cast<int>(r.range(lo, hi));
+  };
+}
+
+}  // namespace
+
 std::shared_ptr<vcl::Buffer> randomIntBuffer(std::size_t n, common::Rng& rng,
                                              int lo, int hi) {
-  return generatedBuffer<int>(
-      vcl::ElemKind::I32, n, rng, [lo, hi](common::Rng& r, std::size_t) {
-        return static_cast<int>(r.range(lo, hi));
-      });
+  return generatedBuffer<int>(vcl::ElemKind::I32, n, rng, intDraw(lo, hi));
+}
+
+std::shared_ptr<vcl::Buffer> randomIntBuffer(std::size_t n,
+                                             common::Rng&& stream, int lo,
+                                             int hi) {
+  return generatedBuffer<int>(vcl::ElemKind::I32, n, std::move(stream),
+                              intDraw(lo, hi));
 }
 
 std::shared_ptr<vcl::Buffer> intBufferOf(std::vector<int> values) {

@@ -1,14 +1,17 @@
-// Unit tests for tp_common: RNG determinism and distributions, statistics,
-// CSV round-trips, string utilities, thread pool behaviour, the shared
-// FNV key-hash helpers (collision sanity), wire serialization, and the
-// striped in-flight latch.
+// Unit tests for tp_common: RNG determinism, distributions and jump-ahead
+// (discard), statistics, CSV round-trips, string utilities, thread pool
+// behaviour, the shared FNV key-hash helpers (collision sanity), wire
+// serialization, and the striped in-flight latch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -105,6 +108,119 @@ TEST(Rng, SplitStreamsAreIndependent) {
   Rng parent(29);
   Rng child = parent.split();
   EXPECT_NE(parent(), child());
+}
+
+// The span hi - lo overflows int64 here; the endpoints and the full range
+// must still come out of the draw without overflow (UBSan checks it under
+// the asan preset).
+TEST(Rng, RangeFullInt64DoesNotOverflow) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(31), raw(31);
+  bool negative = false, positive = false;
+  for (int i = 0; i < 64; ++i) {
+    // The full span is lo plus exactly one raw draw (mod 2^64).
+    const std::int64_t v = rng.range(kMin, kMax);
+    EXPECT_EQ(static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(kMin),
+              raw());
+    negative |= v < 0;
+    positive |= v > 0;
+  }
+  EXPECT_TRUE(negative);
+  EXPECT_TRUE(positive);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_LE(rng.range(-1, kMax), kMax);
+    EXPECT_GE(rng.range(kMin, 1), kMin);
+    EXPECT_LE(rng.range(kMin, kMin / 2 + 1), kMin / 2 + 1);
+  }
+}
+
+TEST(Rng, RangeExtremeEndpoints) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(37);
+  EXPECT_EQ(rng.range(kMin, kMin), kMin);
+  EXPECT_EQ(rng.range(kMax, kMax), kMax);
+  std::set<std::int64_t> low, high;
+  for (int i = 0; i < 200; ++i) {
+    low.insert(rng.range(kMin, kMin + 1));
+    high.insert(rng.range(kMax - 1, kMax));
+  }
+  EXPECT_EQ(low, (std::set<std::int64_t>{kMin, kMin + 1}));
+  EXPECT_EQ(high, (std::set<std::int64_t>{kMax - 1, kMax}));
+  // A span that fits in int64 draws exactly as before the unsigned rewrite:
+  // lo + below(hi - lo + 1).
+  Rng a(41), b(41);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(a.range(-5, 1 << 20),
+              -5 + static_cast<std::int64_t>(b.below((1 << 20) + 6)));
+  }
+}
+
+// The next 8 outputs after stepping / jumping `rng` k draws ahead.
+std::vector<std::uint64_t> outputsAfterStepping(Rng rng, std::uint64_t k) {
+  for (std::uint64_t i = 0; i < k; ++i) static_cast<void>(rng());
+  std::vector<std::uint64_t> out(8);
+  for (auto& v : out) v = rng();
+  return out;
+}
+
+std::vector<std::uint64_t> outputsAfterDiscard(Rng rng, std::uint64_t k) {
+  rng.discard(k);
+  std::vector<std::uint64_t> out(8);
+  for (auto& v : out) v = rng();
+  return out;
+}
+
+TEST(Rng, DiscardMatchesStepping) {
+  const Rng start(43);
+  for (const std::uint64_t k :
+       {0ull, 1ull, 2ull, 63ull, 64ull, 65ull, 255ull, 256ull, 257ull,
+        (1ull << 20) - 1, 1ull << 20, (1ull << 20) + 1}) {
+    EXPECT_EQ(outputsAfterDiscard(start, k), outputsAfterStepping(start, k))
+        << "k=" << k;
+  }
+  // 200 seeded k < 2^22, sorted so that one stream stepped forward once
+  // serves as the reference for all of them.
+  Rng draws(47);
+  std::vector<std::uint64_t> ks(200);
+  for (auto& k : ks) k = draws.below(1ull << 22);
+  std::sort(ks.begin(), ks.end());
+  Rng stepped = start;
+  std::uint64_t at = 0;
+  for (const std::uint64_t k : ks) {
+    for (; at < k; ++at) static_cast<void>(stepped());
+    EXPECT_EQ(outputsAfterDiscard(start, k), outputsAfterStepping(stepped, 0))
+        << "k=" << k;
+  }
+}
+
+TEST(Rng, DiscardComposes) {
+  Rng draws(53);
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t a = draws.below(1ull << 62) + 1;
+    const std::uint64_t b = draws.below(1ull << 62) + 1;
+    Rng twice(59 + static_cast<std::uint64_t>(i));
+    Rng once = twice;
+    twice.discard(a);
+    twice.discard(b);
+    once.discard(a + b);
+    EXPECT_EQ(twice, once) << "a=" << a << " b=" << b;
+    EXPECT_EQ(twice(), once());
+  }
+}
+
+// A jump is transparent to the rejection sampler that follows it.
+TEST(Rng, DiscardThenBelowMatchesStepping) {
+  for (const std::uint64_t k : {5ull, 300ull, 100003ull}) {
+    Rng jumped(61), stepped(61);
+    jumped.discard(k);
+    for (std::uint64_t i = 0; i < k; ++i) static_cast<void>(stepped());
+    for (const std::uint64_t n : {1ull, 3ull, 1000ull, (1ull << 63) + 1}) {
+      EXPECT_EQ(jumped.below(n), stepped.below(n)) << "k=" << k << " n=" << n;
+    }
+    EXPECT_EQ(jumped, stepped);
+  }
 }
 
 TEST(Stats, MeanAndStddev) {

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <utility>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "runtime/evaluation.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "suite/benchmark.hpp"
+#include "suite/suite_util.hpp"
 
 namespace tp::suite {
 namespace {
@@ -265,6 +268,58 @@ TEST(SuiteLazyInputs, TimeOnlySweepNeverMaterializes) {
       }
     }
   }
+}
+
+// What set-up pays per input, counted in calls of `draw` while the buffer
+// is built: a float input jumps the caller's stream (Rng::discard), a
+// factory's last input takes the stream by rvalue and moves it nowhere,
+// and only an integer input with later draws steps through its n draws.
+// Each buffer still replays exactly what eager generation produced.
+template <typename T, typename Draw>
+std::vector<T> drawEagerly(std::size_t n, common::Rng& rng, Draw draw) {
+  std::vector<T> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = draw(rng, i);
+  return out;
+}
+
+TEST(SuiteLazyInputs, FactoriesStepOnlyIntegerInputsThatHaveSuccessors) {
+  constexpr std::size_t n = 1000;  // past Rng::discard's stepping range
+  const auto floatDraw = [](common::Rng& r, std::size_t) {
+    return static_cast<float>(r.uniform(-1.0, 1.0));
+  };
+  const auto intDraw = [](common::Rng& r, std::size_t) {
+    return static_cast<int>(r.range(0, 6));
+  };
+  std::size_t calls = 0;
+  const auto counted = [&calls](auto draw) {
+    return [&calls, draw](common::Rng& r, std::size_t i) {
+      ++calls;
+      return draw(r, i);
+    };
+  };
+  common::Rng rng(71), eager(71);
+
+  const auto floats =
+      generatedBuffer<float>(vcl::ElemKind::F32, n, rng, counted(floatDraw));
+  EXPECT_EQ(calls, 0u);
+  const std::vector<float> floatsEager = drawEagerly<float>(n, eager, floatDraw);
+  EXPECT_EQ(rng, eager);
+
+  const auto ints =
+      generatedBuffer<int>(vcl::ElemKind::I32, n, rng, counted(intDraw));
+  EXPECT_EQ(calls, n);
+  const std::vector<int> intsEager = drawEagerly<int>(n, eager, intDraw);
+  EXPECT_EQ(rng, eager);
+
+  calls = 0;
+  const auto last = generatedBuffer<int>(vcl::ElemKind::I32, n, std::move(rng),
+                                         counted(intDraw));
+  EXPECT_EQ(calls, 0u);
+  const std::vector<int> lastEager = drawEagerly<int>(n, eager, intDraw);
+
+  EXPECT_EQ(floats->initial<float>(), floatsEager);
+  EXPECT_EQ(ints->initial<int>(), intsEager);
+  EXPECT_EQ(last->initial<int>(), lastEager);
 }
 
 }  // namespace
